@@ -56,6 +56,7 @@ type Space struct {
 	words   int      // words per cube
 	inMask  []uint64 // mask of the bits used by input parts, per word
 	outMask []uint64 // mask of the bits used by output parts, per word
+	lowMask []uint64 // mask of bit 0 of every input part, per word
 }
 
 // NewSpace returns a space with the given number of binary input
@@ -76,9 +77,13 @@ func NewSpace(inputs, outputs int) *Space {
 		words:   words,
 		inMask:  make([]uint64, words),
 		outMask: make([]uint64, words),
+		lowMask: make([]uint64, words),
 	}
 	for i := 0; i < 2*inputs; i++ {
 		s.inMask[i/64] |= 1 << (i % 64)
+		if i%2 == 0 {
+			s.lowMask[i/64] |= 1 << (i % 64)
+		}
 	}
 	for o := 0; o < outputs; o++ {
 		b := 2*inputs + o
@@ -155,20 +160,25 @@ func (s *Space) Equal(a, b Cube) bool {
 // part is 00, or the space has outputs and the output part is all
 // zero.
 func (s *Space) IsEmpty(c Cube) bool {
-	for i := 0; i < s.inputs; i++ {
-		if s.Input(c, i) == Empty {
+	for w, x := range c {
+		if s.emptyParts(x, w) != 0 {
 			return true
 		}
 	}
-	if s.outputs > 0 {
-		any := false
-		for w := range c {
-			if c[w]&s.outMask[w] != 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
+	return s.outputs > 0 && !s.outputsMeet(c, c)
+}
+
+// emptyParts returns the input parts of word w of a cube x that are 00,
+// as a mask holding bit 0 of each such part.  Parts never straddle
+// words (each word holds 32 whole parts), so the test is word-parallel.
+func (s *Space) emptyParts(x uint64, w int) uint64 {
+	return ^(x | x>>1) & s.lowMask[w]
+}
+
+// outputsMeet reports whether the output parts of a and b share a bit.
+func (s *Space) outputsMeet(a, b Cube) bool {
+	for w := range a {
+		if a[w]&b[w]&s.outMask[w] != 0 {
 			return true
 		}
 	}
@@ -198,25 +208,12 @@ func (s *Space) And(a, b Cube) Cube {
 
 // Intersects reports whether a ∩ b is non-empty without allocating.
 func (s *Space) Intersects(a, b Cube) bool {
-	for i := 0; i < s.inputs; i++ {
-		b2 := 2 * i
-		if (a[b2/64]>>(b2%64))&(b[b2/64]>>(b2%64))&3 == 0 {
+	for w := range a {
+		if s.emptyParts(a[w]&b[w], w) != 0 {
 			return false
 		}
 	}
-	if s.outputs > 0 {
-		any := false
-		for w := range a {
-			if a[w]&b[w]&s.outMask[w] != 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return false
-		}
-	}
-	return true
+	return s.outputs == 0 || s.outputsMeet(a, b)
 }
 
 // Distance returns the number of empty input parts of a ∩ b, plus one
@@ -225,23 +222,11 @@ func (s *Space) Intersects(a, b Cube) bool {
 // the consensus non-trivial.
 func (s *Space) Distance(a, b Cube) int {
 	d := 0
-	for i := 0; i < s.inputs; i++ {
-		b2 := 2 * i
-		if (a[b2/64]>>(b2%64))&(b[b2/64]>>(b2%64))&3 == 0 {
-			d++
-		}
+	for w := range a {
+		d += bits.OnesCount64(s.emptyParts(a[w]&b[w], w))
 	}
-	if s.outputs > 0 {
-		any := false
-		for w := range a {
-			if a[w]&b[w]&s.outMask[w] != 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
-			d++
-		}
+	if s.outputs > 0 && !s.outputsMeet(a, b) {
+		d++
 	}
 	return d
 }
@@ -256,9 +241,9 @@ func (s *Space) Consensus(a, b Cube) Cube {
 		return nil
 	}
 	c := s.And(a, b)
-	for i := 0; i < s.inputs; i++ {
-		if s.Input(c, i) == Empty {
-			s.SetInput(c, i, DC)
+	for w, x := range c {
+		if e := s.emptyParts(x, w); e != 0 {
+			c[w] = x | e | e<<1 // raise the conflicting part to DC
 			return c
 		}
 	}
@@ -282,14 +267,14 @@ func (s *Space) ConsensusOutput(a, b Cube) Cube {
 	if s.outputs == 0 {
 		return nil
 	}
-	c := s.And(a, b)
-	for i := 0; i < s.inputs; i++ {
-		if s.Input(c, i) == Empty {
+	for w := range a {
+		if s.emptyParts(a[w]&b[w], w) != 0 {
 			return nil
 		}
 	}
+	c := make(Cube, s.words)
 	for w := range c {
-		c[w] = c[w]&s.inMask[w] | (a[w]|b[w])&s.outMask[w]
+		c[w] = a[w]&b[w]&s.inMask[w] | (a[w]|b[w])&s.outMask[w]
 	}
 	return c
 }

@@ -187,6 +187,96 @@ func TestDistanceAndConsensus(t *testing.T) {
 	}
 }
 
+// TestPartOpsMatchPerVariable holds the word-parallel part tests
+// (IsEmpty, Intersects, Distance, Consensus, ConsensusOutput) to a
+// per-variable reading of the cubes, on spaces wide enough to span
+// several words and on cubes with empty parts.
+func TestPartOpsMatchPerVariable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	lits := []Literal{Empty, Zero, One, DC, DC, Zero, One}
+	randCube := func(s *Space) Cube {
+		c := s.NewCube()
+		for i := 0; i < s.Inputs(); i++ {
+			l := lits[1+rng.Intn(len(lits)-1)]
+			if rng.Intn(4*s.Inputs()+1) == 0 {
+				l = Empty
+			}
+			s.SetInput(c, i, l)
+		}
+		for o := 0; o < s.Outputs(); o++ {
+			s.SetOutput(c, o, rng.Intn(2) == 0)
+		}
+		return c
+	}
+	for trial := 0; trial < 2000; trial++ {
+		s := NewSpace(rng.Intn(70), rng.Intn(5))
+		a, b := randCube(s), randCube(s)
+		if s.Inputs() > 0 && rng.Intn(3) == 0 { // a near-copy: distance 0 or 1
+			copy(b, a)
+			s.SetInput(b, rng.Intn(s.Inputs()), lits[rng.Intn(4)])
+		}
+		empties, first := 0, -1
+		for i := 0; i < s.Inputs(); i++ {
+			if s.Input(a, i)&s.Input(b, i) == Empty {
+				if first < 0 {
+					first = i
+				}
+				empties++
+			}
+		}
+		meet := false
+		for o := 0; o < s.Outputs(); o++ {
+			meet = meet || (s.Output(a, o) && s.Output(b, o))
+		}
+		dist := empties
+		if s.Outputs() > 0 && !meet {
+			dist++
+		}
+		if got := s.Distance(a, b); got != dist {
+			t.Fatalf("trial %d: Distance = %d, want %d", trial, got, dist)
+		}
+		if got := s.Intersects(a, b); got != (dist == 0) {
+			t.Fatalf("trial %d: Intersects = %v, distance %d", trial, got, dist)
+		}
+		aEmpty := s.Outputs() > 0
+		for o := 0; o < s.Outputs(); o++ {
+			aEmpty = aEmpty && !s.Output(a, o)
+		}
+		for i := 0; i < s.Inputs(); i++ {
+			aEmpty = aEmpty || s.Input(a, i) == Empty
+		}
+		if s.IsEmpty(a) != aEmpty {
+			t.Fatalf("trial %d: IsEmpty = %v, want %v", trial, s.IsEmpty(a), aEmpty)
+		}
+		and := s.And(a, b)
+		withOuts := func(c Cube) Cube {
+			for o := 0; o < s.Outputs(); o++ {
+				s.SetOutput(c, o, s.Output(a, o) || s.Output(b, o))
+			}
+			return c
+		}
+		var want Cube
+		switch {
+		case dist != 1:
+		case empties == 1:
+			want = s.Copy(and)
+			s.SetInput(want, first, DC)
+		default:
+			want = withOuts(s.Copy(and))
+		}
+		if got := s.Consensus(a, b); (got == nil) != (want == nil) || (got != nil && !s.Equal(got, want)) {
+			t.Fatalf("trial %d: Consensus = %v, want %v", trial, got, want)
+		}
+		want = nil
+		if s.Outputs() > 0 && empties == 0 {
+			want = withOuts(s.Copy(and))
+		}
+		if got := s.ConsensusOutput(a, b); (got == nil) != (want == nil) || (got != nil && !s.Equal(got, want)) {
+			t.Fatalf("trial %d: ConsensusOutput = %v, want %v", trial, got, want)
+		}
+	}
+}
+
 func TestTautologyBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {

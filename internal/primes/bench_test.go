@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ucp/internal/benchmarks"
+	"ucp/internal/pla"
 )
 
 // The prime-generation substrate benches compare the two front ends on
@@ -11,8 +12,11 @@ import (
 // literals don't-care) that the iterated-consensus work set grows into
 // the thousands.  The dense sweep's cost is fixed by the care set, so
 // the ratio here (>=5x expected) is the point of the bit-slice engine;
-// on sparse instances the consensus path stays competitive and
-// GenerateAutoBudget picks per-instance.
+// on wide sparse instances consensus wins instead.  The auto variants
+// time GenerateAutoBudget, which runs consensus under a cap of the
+// sweep's estimated word-op count and falls back to the sweep only
+// when the cap trips: on rand16 the cap trips (auto pays the capped
+// pass on top of the sweep), on rand20 consensus finishes under it.
 func BenchmarkPrimeGen(b *testing.B) {
 	f := benchmarks.RandomPLA(11, 16, 2, 100, 0.5, 2)
 	b.Run("dense", func(b *testing.B) {
@@ -29,6 +33,20 @@ func BenchmarkPrimeGen(b *testing.B) {
 			}
 		}
 	})
+	wide := benchmarks.RandomPLA(7, 20, 3, 80, 0.3, 1)
+	for _, in := range []struct {
+		name string
+		f    *pla.File
+		want Engine
+	}{{"rand16", f, EngineDense}, {"rand20", wide, EngineCappedConsensus}} {
+		b.Run("auto/"+in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok, eng := GenerateAutoEngine(in.f.F, in.f.D, nil); !ok || eng != in.want {
+					b.Fatalf("engine %s (complete=%v), want %s", eng, ok, in.want)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBuildCovering compares the streaming bitset construction

@@ -90,14 +90,19 @@ const denseKLow = 6
 // cube accounts for); the sweep itself enforces the same bound as a
 // hard cap and falls back to consensus when it trips.
 func DenseEligible(f, d *cube.Cover) bool {
+	_, ok := denseEstimate(f, d)
+	return ok
+}
+
+// denseEstimate is DenseEligible's single pass over the cubes: ok is
+// the eligibility verdict, and chunks the estimated merge closure it
+// was judged on (meaningful only when ok).
+func denseEstimate(f, d *cube.Cover) (chunks uint64, ok bool) {
 	s := f.S
 	if s.Inputs() > DenseMaxInputs || s.Outputs() > DenseMaxOutputs {
-		return false
+		return 0, false
 	}
-	k := s.Inputs()
-	if k > denseKLow {
-		k = denseKLow
-	}
+	_, k := denseShape(s)
 	fullLattice := pow3(s.Inputs() - k)
 	var care, lattice uint64
 	count := func(cv *cube.Cover) bool {
@@ -126,7 +131,16 @@ func DenseEligible(f, d *cube.Cover) bool {
 		}
 		return true
 	}
-	return count(f) && count(d) && lattice <= denseMaxChunks(s)
+	ok = count(f) && count(d) && lattice <= denseMaxChunks(s)
+	return lattice, ok
+}
+
+// denseWordOps is the sweep's own cost estimate for a lattice of the
+// given number of chunks: chunks × planes × words per chunk × inputs,
+// one word operation per plane word per variable pass.
+func denseWordOps(s *cube.Space, chunks uint64) uint64 {
+	planes, k := denseShape(s)
+	return chunks * uint64(planes) * uint64(denseChunkWords(k)) * uint64(s.Inputs())
 }
 
 // pow3 computes 3^e (e ≤ DenseMaxInputs, so no overflow).
@@ -138,38 +152,87 @@ func pow3(e int) uint64 {
 	return p
 }
 
+// denseShape returns the sweep's bit-plane count (one per output, at
+// least one) and its number of in-chunk variables.
+func denseShape(s *cube.Space) (planes, k int) {
+	planes, k = s.Outputs(), s.Inputs()
+	if planes == 0 {
+		planes = 1
+	}
+	if k > denseKLow {
+		k = denseKLow
+	}
+	return planes, k
+}
+
+// denseChunkWords is the number of uint64 words one plane of a chunk
+// spans when k variables are addressed inside it.
+func denseChunkWords(k int) int {
+	if 2*k > 6 {
+		return 1 << (2*k - 6)
+	}
+	return 1
+}
+
 // denseMaxChunks is the chunk-count form of the lattice memory bound
 // for the given space: DenseMaxLatticeWords divided by the words one
 // chunk costs (implicant planes plus the covered plane).
 func denseMaxChunks(s *cube.Space) uint64 {
-	planes := s.Outputs()
-	if planes == 0 {
-		planes = 1
-	}
-	k := s.Inputs()
-	if k > denseKLow {
-		k = denseKLow
-	}
-	cw := 1
-	if 2*k > 6 {
-		cw = 1 << (2*k - 6)
-	}
-	max := denseMaxLatticeWords / (uint64(planes+1) * uint64(cw))
+	planes, k := denseShape(s)
+	max := denseMaxLatticeWords / (uint64(planes+1) * uint64(denseChunkWords(k)))
 	if max < 1 {
 		max = 1
 	}
 	return max
 }
 
-// GenerateAutoBudget selects the prime-generation engine: the dense
-// bit-slice sweep when the function enumerates within the lattice
-// limits, iterated consensus otherwise.  Both produce the identical
-// canonical prime set; the choice is purely a performance front-end.
+// Engine names the prime generator GenerateAutoEngine used.
+type Engine string
+
+// The engines GenerateAutoEngine chooses between.
+const (
+	// EngineConsensus is uncapped iterated consensus, for functions the
+	// sweep cannot take (DenseEligible is false).
+	EngineConsensus Engine = "consensus"
+	// EngineCappedConsensus is iterated consensus that finished within
+	// the sweep's estimated word-op count.
+	EngineCappedConsensus Engine = "capped-consensus"
+	// EngineDense is the bit-slice sweep, run after the capped
+	// consensus pass tripped its cap.
+	EngineDense Engine = "dense"
+)
+
+// GenerateAutoBudget computes the prime implicants with whichever
+// engine does less work on this function; see GenerateAutoEngine.
 func GenerateAutoBudget(f, d *cube.Cover, tr *budget.Tracker) (*cube.Cover, bool) {
-	if DenseEligible(f, d) {
-		return GenerateDenseBudget(f, d, tr)
+	out, complete, _ := GenerateAutoEngine(f, d, tr)
+	return out, complete
+}
+
+// GenerateAutoEngine chooses the prime-generation engine by work, not
+// by eligibility.  A dense-eligible function first runs iterated
+// consensus capped at the sweep's own estimated word-op count
+// (denseWordOps over DenseEligible's lattice estimate); only if that
+// cap trips does the dense sweep run.  Consensus work — pairs tried
+// plus containment probes — costs a few times less per unit than a
+// sweep word op, so a tripped cap adds at most a fraction of the
+// sweep's time, while a finished pass can save two orders of
+// magnitude on wide sparse functions.  Ineligible functions run
+// consensus uncapped.  The choice is counted, never timed, so it is
+// deterministic, and both engines return the identical canonical prime
+// set.  An interruption during the capped pass returns its partial
+// cover with complete=false, GenerateBudget's degradation contract.
+func GenerateAutoEngine(f, d *cube.Cover, tr *budget.Tracker) (*cube.Cover, bool, Engine) {
+	chunks, ok := denseEstimate(f, d)
+	if !ok {
+		out, complete := GenerateBudget(f, d, tr)
+		return out, complete, EngineConsensus
 	}
-	return GenerateBudget(f, d, tr)
+	if out, complete, capped := generateConsensus(f, d, tr, denseWordOps(f.S, chunks)); !capped {
+		return out, complete, EngineCappedConsensus
+	}
+	out, complete := GenerateDenseBudget(f, d, tr)
+	return out, complete, EngineDense
 }
 
 // GenerateDense is GenerateDenseBudget without a budget.
@@ -221,7 +284,7 @@ func denseFallback(f, d *cube.Cover) *cube.Cover {
 			work.Add(s.Copy(c))
 		}
 	}
-	work, _ = dedupSig(s, work, nil)
+	work, _ = dedupSig(s, work, nil, nil)
 	work.Sort()
 	return work
 }
@@ -253,18 +316,9 @@ type denseSweep struct {
 }
 
 func newDenseSweep(s *cube.Space, tr *budget.Tracker) *denseSweep {
-	sw := &denseSweep{s: s, tr: tr, n: s.Inputs(), planes: s.Outputs()}
-	if sw.planes == 0 {
-		sw.planes = 1
-	}
-	sw.k = sw.n
-	if sw.k > denseKLow {
-		sw.k = denseKLow
-	}
-	sw.cw = 1
-	if 2*sw.k > 6 {
-		sw.cw = 1 << (2*sw.k - 6)
-	}
+	sw := &denseSweep{s: s, tr: tr, n: s.Inputs()}
+	sw.planes, sw.k = denseShape(s)
+	sw.cw = denseChunkWords(sw.k)
 	sw.pow3 = make([]uint64, sw.n-sw.k+1)
 	p := uint64(1)
 	for i := range sw.pow3 {

@@ -3,10 +3,14 @@ package primes
 import (
 	"context"
 	"math/rand"
+	"os"
 	"testing"
+	"time"
 
+	"ucp/internal/benchmarks"
 	"ucp/internal/budget"
 	"ucp/internal/cube"
+	"ucp/internal/pla"
 )
 
 // requireSameCover fails unless the two canonical (sorted) covers are
@@ -213,6 +217,127 @@ func TestGenerateAutoBudgetDispatch(t *testing.T) {
 	if DenseEligible(fe, nil) {
 		t.Fatal("empty cube reported dense-eligible")
 	}
+
+	// A wide sparse function: the sweep would materialise tens of
+	// thousands of chunks, while consensus closes well within that
+	// many probes.
+	fh, err := os.Open("../../examples/wide20.pla")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := pla.Parse(fh)
+	fh.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, complete, eng := GenerateAutoEngine(w.F, w.DontCares(), nil)
+	if !complete || eng != EngineCappedConsensus {
+		t.Fatalf("wide20: engine %s (complete=%v), want %s", eng, complete, EngineCappedConsensus)
+	}
+	requireSameCover(t, w.F.S, got, GenerateDenseBudget0(w.F, w.DontCares()), "wide20 auto vs sweep")
+
+	// A hard cyclic replica: a tiny lattice but a consensus work set in
+	// the thousands, so the cap trips and the sweep answers — the same
+	// way on every run.
+	var hard *pla.File
+	for _, in := range benchmarks.Challenging() {
+		if in.Name == "ex1010" {
+			hard = in.PLA()
+		}
+	}
+	hf, hd := hard.F, hard.DontCares()
+	first, complete, eng := GenerateAutoEngine(hf, hd, nil)
+	if !complete || eng != EngineDense {
+		t.Fatalf("ex1010: engine %s (complete=%v), want %s", eng, complete, EngineDense)
+	}
+	requireSameCover(t, hf.S, first, GenerateDenseBudget0(hf, hd), "ex1010 auto vs sweep")
+	for run := 0; run < 3; run++ {
+		again, complete, eng := GenerateAutoEngine(hf, hd, nil)
+		if !complete || eng != EngineDense {
+			t.Fatalf("ex1010 run %d: engine %s (complete=%v)", run, eng, complete)
+		}
+		requireSameCover(t, hf.S, again, first, "ex1010 repeated")
+	}
+	chunks, _ := denseEstimate(hf, hd)
+	if out, _, capped := generateConsensus(hf, hd, nil, denseWordOps(hf.S, chunks)); !capped || out != nil {
+		t.Fatal("ex1010: capped consensus pass must trip and drop its work set")
+	}
+}
+
+// requireDegradedContract fails unless out is a valid degraded prime
+// set for (f, d): every cube of F lies inside some cube of out, so
+// every ON minterm stays coverable, and no cube of out reaches a
+// minterm outside F ∪ D.
+func requireDegradedContract(t *testing.T, f, d, out *cube.Cover) {
+	t.Helper()
+	s := f.S
+	for _, c := range f.Cubes {
+		covered := false
+		for _, p := range out.Cubes {
+			if s.Contains(p, c) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			t.Fatalf("ON cube %s not coverable after degradation", s.String(c))
+		}
+	}
+	// Care bitmap of F ∪ D, one bit per (minterm, output).
+	planes := s.Outputs()
+	if planes == 0 {
+		planes = 1
+	}
+	care := make([]uint64, (planes<<uint(s.Inputs())+63)/64)
+	each := func(c cube.Cube, fn func(bit uint64) bool) bool {
+		value, mask, _ := s.PackInput(c)
+		outs, _ := s.PackOutputs(c)
+		if s.Outputs() == 0 {
+			outs = 1
+		}
+		for sub := mask; ; sub = (sub - 1) & mask {
+			for o := 0; o < planes; o++ {
+				if outs>>uint(o)&1 != 0 && !fn(uint64(o)<<uint(s.Inputs())|value|sub) {
+					return false
+				}
+			}
+			if sub == 0 {
+				return true
+			}
+		}
+	}
+	for _, cv := range []*cube.Cover{f, d} {
+		for _, c := range cv.Cubes {
+			each(c, func(bit uint64) bool { care[bit/64] |= 1 << (bit % 64); return true })
+		}
+	}
+	for _, p := range out.Cubes {
+		if !each(p, func(bit uint64) bool { return care[bit/64]>>(bit%64)&1 != 0 }) {
+			t.Fatalf("degraded cube %s covers a minterm outside F ∪ D", s.String(p))
+		}
+	}
+}
+
+// TestGenerateBudgetDeadline holds iterated consensus to its deadline
+// on an instance whose closure runs for seconds: the tracker is polled
+// from the work counter (and inside the dedup pass), not just between
+// outer cubes, so the return comes promptly and still meets the
+// degradation contract.
+func TestGenerateBudgetDeadline(t *testing.T) {
+	p := benchmarks.RandomPLA(3, 16, 4, 200, 0.5, 0)
+	f, d := p.F, p.DontCares()
+	const deadline = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	t0 := time.Now()
+	out, complete := GenerateBudget(f, d, budget.Budget{Context: ctx}.Tracker())
+	if took := time.Since(t0); took > 2*deadline+150*time.Millisecond {
+		t.Fatalf("100ms deadline returned after %v", took)
+	}
+	if complete {
+		t.Skip("closure finished inside the deadline; nothing to degrade")
+	}
+	requireDegradedContract(t, f, d, out)
 }
 
 func TestDenseCareBudgetLimit(t *testing.T) {
@@ -283,8 +408,9 @@ func TestDenseChunkCapOverflow(t *testing.T) {
 }
 
 // FuzzPrimesDense is the differential acceptance gate: on arbitrary
-// random functions the dense sweep and iterated consensus must produce
-// identical canonical prime sets and bit-identical covering problems.
+// random functions the dense sweep, iterated consensus and the
+// work-capped dispatcher must produce identical canonical prime sets
+// and bit-identical covering problems.
 func FuzzPrimesDense(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(2), uint8(4))
 	f.Add(uint64(42), uint8(8), uint8(1), uint8(6))
@@ -300,10 +426,12 @@ func FuzzPrimesDense(f *testing.F) {
 		dc := randomCover(s, int(seed)%3, rng)
 		want, wc := GenerateBudget(fc, dc, nil)
 		got, gc := GenerateDenseBudget(fc, dc, nil)
-		if wc != gc {
-			t.Fatalf("complete=%v, consensus %v", gc, wc)
+		auto, ac := GenerateAutoBudget(fc, dc, nil)
+		if wc != gc || wc != ac {
+			t.Fatalf("complete: dense %v, auto %v, consensus %v", gc, ac, wc)
 		}
 		requireSameCover(t, s, got, want, "fuzz primes")
+		requireSameCover(t, s, auto, want, "fuzz auto primes")
 		requireSameCovering(t, fc, dc, got, "fuzz covering")
 	})
 }

@@ -28,8 +28,11 @@ func sigOf(c cube.Cube) uint64 {
 // dedupSig is Cover.Dedup with the signature short-circuit: identical
 // keep/drop decisions (the signature only skips pairs whose
 // containment test must fail), returned together with the kept cubes'
-// signatures so callers can reuse them.
-func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64) (*cube.Cover, []uint64) {
+// signatures so callers can reuse them.  A non-nil meter is charged one
+// unit per pair a cube's scan may probe; when it stops the pass, the
+// cubes not yet examined are all kept, so the result is still a
+// superset of the deduplicated cover.
+func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64, w *workMeter) (*cube.Cover, []uint64) {
 	if sigs == nil {
 		sigs = make([]uint64, len(f.Cubes))
 		for i, c := range f.Cubes {
@@ -44,12 +47,15 @@ func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64) (*cube.Cover, []uint6
 		if !kept[i] {
 			continue
 		}
+		if w.charge(uint64(len(f.Cubes))) {
+			break
+		}
 		sa := sigs[i]
-		for j, b := range f.Cubes {
-			if i == j || !kept[j] || sa&^sigs[j] != 0 {
+		for j, sb := range sigs {
+			if sa&^sb != 0 || i == j || !kept[j] {
 				continue
 			}
-			if s.Contains(b, a) && (!s.Equal(a, b) || j < i) {
+			if b := f.Cubes[j]; s.Contains(b, a) && (!s.Equal(a, b) || j < i) {
 				kept[i] = false
 				break
 			}
@@ -66,6 +72,74 @@ func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64) (*cube.Cover, []uint6
 	return g, outSigs
 }
 
+// workPollEvery is how many work units pass between two tracker polls
+// in the consensus closure (a few microseconds of probing).
+const workPollEvery = 4096
+
+// workMeter counts the consensus closure's work — one unit per pair
+// tried, one per containment probe — against an optional cap, and
+// polls the caller's tracker every workPollEvery units.  The count is
+// deterministic; only the poll looks at the clock.  A nil meter never
+// stops.
+type workMeter struct {
+	tr        *budget.Tracker
+	cap       uint64 // 0: uncapped
+	used      uint64
+	nextPoll  uint64
+	capped    bool // the cap tripped
+	interrupt bool // the tracker fired
+}
+
+// charge adds n units and reports whether the closure must stop: the
+// cap tripped or the tracker fired (now or on an earlier charge).
+func (w *workMeter) charge(n uint64) bool {
+	if w == nil {
+		return false
+	}
+	if w.capped || w.interrupt {
+		return true
+	}
+	w.used += n
+	if w.cap > 0 && w.used > w.cap {
+		w.capped = true
+		return true
+	}
+	if w.used >= w.nextPoll {
+		w.nextPoll = w.used + workPollEvery
+		w.interrupt = w.tr.Interrupted()
+	}
+	return w.interrupt
+}
+
+// containedIn reports whether some cube of cs (with signatures sigs)
+// contains c (signature csig), and how many cubes the scan probed.
+func containedIn(s *cube.Space, c cube.Cube, csig uint64, cs []cube.Cube, sigs []uint64) (bool, uint64) {
+	probe := func(from, to int) int {
+		for k := from; k < to; k++ {
+			if csig&^sigs[k] == 0 && s.Contains(cs[k], c) {
+				return k
+			}
+		}
+		return -1
+	}
+	// Four signatures per step, branch-free: the top bit of (x-1)&^x is
+	// set exactly when x == 0, i.e. when the signature admits c.
+	blocks := len(sigs) &^ 3
+	for k := 0; k < blocks; k += 4 {
+		x0, x1, x2, x3 := csig&^sigs[k], csig&^sigs[k+1], csig&^sigs[k+2], csig&^sigs[k+3]
+		if ((x0-1)&^x0|(x1-1)&^x1|(x2-1)&^x2|(x3-1)&^x3)>>63 == 0 {
+			continue
+		}
+		if hit := probe(k, k+4); hit >= 0 {
+			return true, uint64(hit + 1)
+		}
+	}
+	if hit := probe(blocks, len(sigs)); hit >= 0 {
+		return true, uint64(hit + 1)
+	}
+	return false, uint64(len(sigs))
+}
+
 // Generate returns every prime implicant of the function whose care
 // ON-set is f and whose don't-care set is d, using iterated consensus:
 // starting from F ∪ D, consensus cubes are added and single-cube
@@ -78,16 +152,28 @@ func Generate(f, d *cube.Cover) *cube.Cover {
 	return out
 }
 
-// GenerateBudget is Generate under a budget: the closure loop checks
-// the tracker between consensus sweeps (and periodically inside them)
-// and stops early when the budget runs out.  The returned cover is
-// then still a valid implicant set containing F ∪ D — every ON-minterm
-// remains coverable, so a covering problem built over it stays
-// feasible — but some cubes may not yet be prime.  complete reports
-// whether the closure finished (true ⇒ the cover is exactly the prime
-// set).
+// GenerateBudget is Generate under a budget: the closure polls the
+// tracker every few thousand units of work (pairs tried plus
+// containment probes, see workMeter) and stops early when the budget
+// runs out.  The returned cover is then still a valid implicant set
+// containing F ∪ D — every ON-minterm remains coverable, so a covering
+// problem built over it stays feasible — but some cubes may not yet be
+// prime.  complete reports whether the closure finished (true ⇒ the
+// cover is exactly the prime set).
 func GenerateBudget(f, d *cube.Cover, tr *budget.Tracker) (out *cube.Cover, complete bool) {
+	out, complete, _ = generateConsensus(f, d, tr, 0)
+	return out, complete
+}
+
+// generateConsensus is GenerateBudget with a work cap (0: none).  When
+// the cap trips it throws the partial work set away and returns
+// capped=true with a nil cover; the cap is counted, never timed, so
+// whether it trips is a deterministic function of the input.  A
+// tracker interruption returns the partial cover as GenerateBudget
+// does.
+func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *cube.Cover, complete, capped bool) {
 	s := f.S
+	w := &workMeter{tr: tr, cap: cap}
 	work := cube.NewCover(s)
 	for _, c := range f.Cubes {
 		work.Add(s.Copy(c))
@@ -98,19 +184,20 @@ func GenerateBudget(f, d *cube.Cover, tr *budget.Tracker) (out *cube.Cover, comp
 		}
 	}
 	var sigs []uint64
-	work, sigs = dedupSig(s, work, nil)
+	work, sigs = dedupSig(s, work, nil, w)
 
 	for {
-		if tr.Interrupted() {
+		if w.capped {
+			return nil, false, true
+		}
+		if w.interrupt || tr.Interrupted() {
 			work.Sort()
-			return work, false
+			return work, false, false
 		}
 		var pending []cube.Cube
 		var psigs []uint64
+	sweep:
 		for i := 0; i < len(work.Cubes); i++ {
-			if i%64 == 0 && tr.Interrupted() {
-				break // finish this sweep's bookkeeping below
-			}
 			for j := i + 1; j < len(work.Cubes); j++ {
 				// Two candidates per pair: the distance-one consensus
 				// and the output-part consensus, which with three or
@@ -120,48 +207,46 @@ func GenerateBudget(f, d *cube.Cover, tr *budget.Tracker) (out *cube.Cover, comp
 				// multiple-output primes.
 				cand := s.Consensus(work.Cubes[i], work.Cubes[j])
 				candOut := s.ConsensusOutput(work.Cubes[i], work.Cubes[j])
+				units := uint64(1)
 				for _, cons := range [2]cube.Cube{cand, candOut} {
 					if cons == nil || s.IsEmpty(cons) {
 						continue
 					}
 					csig := sigOf(cons)
-					contained := false
-					for k, c := range work.Cubes {
-						if csig&^sigs[k] == 0 && s.Contains(c, cons) {
-							contained = true
-							break
-						}
-					}
+					contained, probes := containedIn(s, cons, csig, work.Cubes, sigs)
+					units += probes
 					if !contained {
-						for k, c := range pending {
-							if csig&^psigs[k] == 0 && s.Contains(c, cons) {
-								contained = true
-								break
-							}
-						}
+						contained, probes = containedIn(s, cons, csig, pending, psigs)
+						units += probes
 					}
 					if !contained {
 						pending = append(pending, cons)
 						psigs = append(psigs, csig)
 					}
 				}
+				if w.charge(units) {
+					break sweep // an interrupted sweep still merges its pending cubes
+				}
 			}
 		}
+		if w.capped {
+			return nil, false, true
+		}
 		if len(pending) == 0 {
-			if tr.Interrupted() {
+			if w.interrupt {
 				break // the sweep was cut short: closure not proven
 			}
 			work.Sort()
-			return work, true
+			return work, true, false
 		}
 		work.Cubes = append(work.Cubes, pending...)
 		sigs = append(sigs, psigs...)
 		// Drop cubes swallowed by the new ones (Dedup semantics, with
 		// the signature prune).
-		work, sigs = dedupSig(s, work, sigs)
+		work, sigs = dedupSig(s, work, sigs, w)
 	}
 	work.Sort()
-	return work, false
+	return work, false, false
 }
 
 // RowID identifies one covering row: input minterm m of output o.

@@ -114,9 +114,11 @@ func BuildCovering(f *PLA, cm CostModel) (p *Problem, c *Cover, err error) {
 // implicant set that still contains every cube of F ∪ D, so the
 // formulation stays feasible and every solution is a valid cover —
 // complete=false just means its optimum may exceed the true minimum.
-// Prime generation picks its engine automatically: the dense bit-slice
-// sweep when the function enumerates within the lattice limits,
-// iterated consensus otherwise (see primes.GenerateAutoBudget).
+// Prime generation picks its engine by work (see
+// primes.GenerateAutoBudget): iterated consensus runs first, capped at
+// the dense bit-slice sweep's estimated word-op count, and the sweep
+// runs only when that cap trips; functions outside the sweep's lattice
+// limits run consensus uncapped.
 func buildCovering(f *PLA, cm CostModel, tr *budget.Tracker) (*Problem, *Cover, bool, error) {
 	prs, complete := primes.GenerateAutoBudget(f.F, f.DontCares(), tr)
 	prob, _, err := primes.BuildCovering(f.F, f.DontCares(), prs, cm)
