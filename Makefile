@@ -22,10 +22,13 @@ test:
 # tests under the race detector (fast fail on a determinism break in
 # the sharded dominance passes), the full suite under -race (which also
 # exercises the budget/cancellation paths, the restart portfolio and
-# the pooled-scratch reuse with real concurrency), and the bench-diff
-# regression gate on the substrate benches.
+# the pooled-scratch reuse with real concurrency), the benchmark module
+# (its own go.mod, so the root ./... never compiles it against the
+# library's exported names), and the bench-diff regression gate on the
+# substrate benches.
 check:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestReduceWorkers|TestParShard|TestReplayReduceMatchesCold' ./internal/matrix
 	$(GO) test -race -run 'TestResolveMatchesCold' ./internal/scg
 	$(GO) test -race ./...

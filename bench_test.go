@@ -214,7 +214,7 @@ func BenchmarkZDDReductions(b *testing.B) {
 	p := benchmarks.CyclicCovering(9, 300, 120, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ir := scg.ImplicitReduce(p, 1, 1)
+		ir := scg.ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1)
 		if ir.Infeasible {
 			b.Fatal("infeasible")
 		}

@@ -148,7 +148,7 @@ func TestExactSearchCapViaBudget(t *testing.T) {
 
 func TestGreedyBudgetCompletesCover(t *testing.T) {
 	p := slowProblem()
-	sol, interrupted, err := SolveGreedyBudget(p, Budget{Context: cancelledCtx()})
+	sol, interrupted, err := SolveGreedy(p, Budget{Context: cancelledCtx()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestGreedyInfeasibleSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveGreedy(p); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := SolveGreedy(p, Budget{}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -214,7 +214,7 @@ func TestMinimizeEspressoBudgetStaysValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := MinimizeEspressoBudget(f, EspressoStrong, Budget{Context: cancelledCtx()})
+	res := MinimizeEspresso(f, EspressoStrong, Budget{Context: cancelledCtx()})
 	if !res.Interrupted || res.StopReason != StopCancelled {
 		t.Fatalf("Interrupted=%v StopReason=%v, want cancellation", res.Interrupted, res.StopReason)
 	}

@@ -349,7 +349,7 @@ func runMatrix(sess *session, path, deltaPath string, orlib bool, solver string,
 		}
 		sess.report(hits, misses, res.TTHits)
 	case "greedy":
-		sol, interrupted, err := ucp.SolveGreedyBudget(p, bud)
+		sol, interrupted, err := ucp.SolveGreedy(p, bud)
 		if err != nil {
 			fatal("%v", err)
 		}

@@ -85,7 +85,7 @@ func TestInfeasibleSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	_, gerr := SolveGreedy(p)
+	_, _, gerr := SolveGreedy(p, Budget{})
 	if !errors.Is(gerr, ErrInfeasible) {
 		t.Fatalf("greedy on uncoverable row: %v, want ErrInfeasible", gerr)
 	}

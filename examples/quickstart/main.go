@@ -43,7 +43,7 @@ func main() {
 		exact.Solution, exact.Cost, exact.Nodes)
 
 	// And with the classical greedy heuristic.
-	g, err := ucp.SolveGreedy(p)
+	g, _, err := ucp.SolveGreedy(p, ucp.Budget{})
 	if err != nil {
 		panic(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 	}
 	fmt.Printf("instance: %d demand points, %d facilities\n\n", points, facilities)
 
-	g, err := ucp.SolveGreedy(p)
+	g, _, err := ucp.SolveGreedy(p, ucp.Budget{})
 	if err != nil {
 		panic(err)
 	}

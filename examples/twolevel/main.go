@@ -54,8 +54,8 @@ func main() {
 	}
 	report(f, "exact", ex)
 
-	report(f, "espresso", ucp.MinimizeEspresso(f, ucp.EspressoNormal))
-	report(f, "espresso-strong", ucp.MinimizeEspresso(f, ucp.EspressoStrong))
+	report(f, "espresso", ucp.MinimizeEspresso(f, ucp.EspressoNormal, ucp.Budget{}))
+	report(f, "espresso-strong", ucp.MinimizeEspresso(f, ucp.EspressoStrong, ucp.Budget{}))
 
 	fmt.Println("\nminimised cover (ZDD_SCG):")
 	fmt.Print(sg.Cover)

@@ -107,7 +107,7 @@ func FuzzSolveParsedProblem(f *testing.F) {
 		if len(p.Rows) > 40 || p.NCol > 40 {
 			return // keep the harness fast; size adds nothing here
 		}
-		g, gerr := SolveGreedy(p)
+		g, _, gerr := SolveGreedy(p, Budget{})
 		if gerr == nil && !p.IsCover(g) {
 			t.Fatalf("greedy returned a non-cover %v", g)
 		}
@@ -149,7 +149,7 @@ func FuzzMinimizeParsedPLA(f *testing.F) {
 		if err == nil && !Equivalent(pla, res.Cover) {
 			t.Fatal("SCG cover does not implement the parsed function")
 		}
-		esp := MinimizeEspresso(pla, EspressoNormal)
+		esp := MinimizeEspresso(pla, EspressoNormal, Budget{})
 		if !Equivalent(pla, esp.Cover) {
 			t.Fatal("espresso cover does not implement the parsed function")
 		}

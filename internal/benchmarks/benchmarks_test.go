@@ -148,7 +148,7 @@ func TestHardInstancesHaveCyclicCores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			red := matrix.Reduce(prob)
+			red := matrix.ReduceBudgetWorkers(prob, nil, 1)
 			if red.Infeasible {
 				t.Fatal("replica infeasible")
 			}
@@ -171,7 +171,7 @@ func TestEasyInstancesMostlyCyclic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if red := matrix.Reduce(prob); len(red.Core.Rows) == 0 {
+		if red := matrix.ReduceBudgetWorkers(prob, nil, 1); len(red.Core.Rows) == 0 {
 			empty++
 		}
 	}

@@ -189,7 +189,7 @@ func solve(p *matrix.Problem, opt Options) *Result {
 		// The cap cut the search before any cover materialised; a
 		// greedy cover keeps the best-so-far contract (feasible
 		// whenever the problem is).
-		if g, err := greedy.Solve(p); err == nil {
+		if g, _, err := greedy.Solve(p, nil); err == nil {
 			sol = g
 		}
 	}
@@ -240,7 +240,7 @@ func (s *solver) search(p *matrix.Problem, ub int) []int {
 		s.exceeded = true
 		return nil
 	}
-	red := matrix.Reduce(p)
+	red := matrix.ReduceBudgetWorkers(p, nil, 1)
 	if red.Infeasible {
 		return nil
 	}

@@ -16,18 +16,14 @@ import (
 // covered.  The H_n-factor approximation guarantee of Chvátal (1979)
 // applies to the cost before the irredundant cleanup; the cleanup can
 // only help.
-func Solve(p *matrix.Problem) ([]int, error) {
-	sol, _, err := SolveBudget(p, nil)
-	return sol, err
-}
-
-// SolveBudget is Solve under a budget.  Greedy is the bottom rung of
-// the degradation ladder, so it never returns empty-handed: when the
-// budget runs out mid-construction it stops ratio scanning and
-// completes the cover with the cheapest column of each remaining
+//
+// tr (nil: unlimited) bounds the construction.  Greedy is the bottom
+// rung of the degradation ladder, so it never returns empty-handed:
+// when the budget runs out mid-construction it stops ratio scanning
+// and completes the cover with the cheapest column of each remaining
 // uncovered row (one O(nnz) sweep), reporting interrupted = true.
 // The returned cover is feasible in every case.
-func SolveBudget(p *matrix.Problem, tr *budget.Tracker) (sol []int, interrupted bool, err error) {
+func Solve(p *matrix.Problem, tr *budget.Tracker) (sol []int, interrupted bool, err error) {
 	nr := len(p.Rows)
 	covered := make([]bool, nr)
 	nCovered := 0

@@ -53,7 +53,7 @@ func TestGreedyCoversAndIsIrredundant(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 300; trial++ {
 		p := randomProblem(rng, 10, 10, 4)
-		sol, err := Solve(p)
+		sol, _, err := Solve(p, nil)
 		if err != nil {
 			t.Fatalf("trial %d: greedy failed on feasible problem: %v", trial, err)
 		}
@@ -71,7 +71,7 @@ func TestGreedyCoversAndIsIrredundant(t *testing.T) {
 
 func TestGreedyInfeasible(t *testing.T) {
 	p := &matrix.Problem{Rows: [][]int{{}}, NCol: 1, Cost: []int{1}}
-	sol, err := Solve(p)
+	sol, _, err := Solve(p, nil)
 	if !errors.Is(err, matrix.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -87,7 +87,7 @@ func TestGreedyApproximationRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 200; trial++ {
 		p := randomProblem(rng, 9, 9, 3)
-		sol, _ := Solve(p)
+		sol, _, _ := Solve(p, nil)
 		opt := bruteForce(p)
 		h := 0.0
 		for k := 1; k <= len(p.Rows); k++ {
@@ -105,7 +105,7 @@ func TestGreedyPicksRatioNotCost(t *testing.T) {
 	// cover one row each at cost 1 (ratio 1).  Greedy takes the unit
 	// columns and wins here.
 	p := matrix.MustNew([][]int{{0, 2}, {1, 2}}, 3, []int{1, 1, 3})
-	sol, _ := Solve(p)
+	sol, _, _ := Solve(p, nil)
 	if p.CostOf(sol) != 2 {
 		t.Fatalf("cost = %d, want 2 (sol %v)", p.CostOf(sol), sol)
 	}

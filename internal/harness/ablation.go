@@ -155,7 +155,7 @@ func AblationWarmStart() []WarmStartResult {
 	warm.Label, cold.Label = "dual-ascent start", "zero start"
 	for _, in := range ablationInstances() {
 		prob := Covering(in)
-		red := scg.ImplicitReduce(prob, 1, 1)
+		red := scg.ImplicitReduceBudgetWorkers(prob, 1, 1, 0, nil, 1)
 		core, _ := red.Core.Compact()
 		if len(core.Rows) == 0 {
 			continue

@@ -56,7 +56,7 @@ func TestCSCMatchesColumnRows(t *testing.T) {
 }
 
 // TestCSCInvalidatedByReductions checks the cache follows Rows through
-// the in-place reduction passes: after ReduceTracked the core's CSC
+// the in-place reduction passes: after a reduction the core's CSC
 // must describe the reduced matrix, not the original.
 func TestCSCInvalidatedByReductions(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -81,7 +81,7 @@ func TestCSCInvalidatedByReductions(t *testing.T) {
 		}
 		p := MustNew(rows, nc, cost)
 		p.CSC() // populate the cache before the reductions mutate Rows
-		red := ReduceTracked(p)
+		red := ReduceBudgetWorkers(p, nil, 1)
 		checkCSC(t, red.Core)
 	}
 }

@@ -155,7 +155,7 @@ func (d *denseReducer) decode(p *Problem) (*Problem, []int) {
 	return core, origin
 }
 
-// denseReduce is the bit-matrix implementation of reduceTracked's
+// denseReduce is the bit-matrix implementation of reduce's
 // fixpoint loop.  It fills res and returns; the caller sorts
 // res.Essential.  Both dominance passes gather kill marks against
 // immutable pass-start state — the kill sets are order-independent,
@@ -165,7 +165,7 @@ func (d *denseReducer) decode(p *Problem) (*Problem, []int) {
 // (bitmat.Vec.Fold) serve as the 64-bit occupancy signatures,
 // recomputed exactly per pass since the matrix is frozen during each
 // gather.
-func denseReduce(p *Problem, tr *budget.Tracker, res *TrackedReduction, workers int) {
+func denseReduce(p *Problem, tr *budget.Tracker, res *Reduction, workers int) {
 	d := newDenseReducer(p)
 	nr, nc := d.bm.NRows, d.bm.NCols
 	ess := make([]bool, nc)

@@ -43,11 +43,11 @@ func TestDenseSparseReductionsAgree(t *testing.T) {
 		p := randReduceProblem(rng, 30, 30, 3, trial%5 == 0)
 
 		restore := SetReduceEngine("sparse")
-		want := ReduceTracked(p)
+		want := ReduceBudgetWorkers(p, nil, 1)
 		restore()
 
 		restore = SetReduceEngine("dense")
-		got := ReduceTracked(p)
+		got := ReduceBudgetWorkers(p, nil, 1)
 		restore()
 
 		if got.Infeasible != want.Infeasible {
@@ -85,7 +85,7 @@ func TestDenseReductionOriginValid(t *testing.T) {
 	defer restore()
 	for trial := 0; trial < 200; trial++ {
 		p := randReduceProblem(rng, 25, 25, 3, false)
-		red := ReduceTracked(p)
+		red := ReduceBudgetWorkers(p, nil, 1)
 		if red.Infeasible {
 			continue
 		}

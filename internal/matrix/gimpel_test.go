@@ -115,7 +115,7 @@ func TestGimpelUniformCostsSubsumed(t *testing.T) {
 			continue
 		}
 		// Every unit-cost Gimpel site must also fall to Reduce.
-		red := Reduce(p)
+		red := ReduceBudgetWorkers(p, nil, 1)
 		got := p.CostOf(red.Essential)
 		if len(red.Core.Rows) > 0 {
 			got += bruteForce(red.Core)

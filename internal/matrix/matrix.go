@@ -229,56 +229,31 @@ type Reduction struct {
 	// Core is then only partially reduced but still an equivalent
 	// problem (every pass preserves the optimum).
 	Stopped bool
-}
-
-// Reduce applies essential-column extraction, row dominance and column
-// dominance until none of them changes the matrix, returning the
-// cyclic core.  Column dominance keeps the cheaper column (breaking
-// ties toward the smaller id), so at least one minimum solution of the
-// original problem survives in the core.
-func Reduce(p *Problem) *Reduction {
-	return &ReduceTracked(p).Reduction
-}
-
-// ReduceBudget is Reduce under a budget: the tracker is polled between
-// fixpoint passes and, when the budget runs out, the partially reduced
-// problem is returned with Stopped set.  Each individual pass
-// preserves the optimum, so a stopped reduction is still a valid,
-// equivalent covering problem.
-func ReduceBudget(p *Problem, tr *budget.Tracker) *Reduction {
-	return &reduceTracked(p, tr, 1).Reduction
-}
-
-// ReduceBudgetWorkers is ReduceBudget with the dominance passes sharded
-// across up to workers goroutines (≤ 1: fully sequential).  The output
-// is bit-identical to the sequential engine for any worker count: each
-// pass gathers its candidate kills per shard from immutable pass-start
-// state — both kill sets are order-independent, see dropSupersetRows —
-// and applies them in canonical index order.
-func ReduceBudgetWorkers(p *Problem, tr *budget.Tracker, workers int) *Reduction {
-	return &reduceTracked(p, tr, workers).Reduction
-}
-
-// TrackedReduction is a Reduction that also records, for every row of
-// the core, the index of the input row it descends from — which lets
-// callers carry per-row state (such as lagrangian multipliers) across
-// a reduction.
-type TrackedReduction struct {
-	Reduction
-	// RowOrigin[i] is the input-row index of core row i.
+	// RowOrigin[i] is the input-row index core row i descends from,
+	// which lets callers carry per-row state (such as lagrangian
+	// multipliers) across a reduction.
 	RowOrigin []int
 }
 
-// ReduceTracked is Reduce with row provenance.
-func ReduceTracked(p *Problem) *TrackedReduction {
-	return reduceTracked(p, nil, 1)
-}
-
-// ReduceTrackedWorkers is ReduceTracked under a budget with sharded
-// dominance passes; see ReduceBudgetWorkers for the determinism
-// contract.
-func ReduceTrackedWorkers(p *Problem, tr *budget.Tracker, workers int) *TrackedReduction {
-	return reduceTracked(p, tr, workers)
+// ReduceBudgetWorkers applies essential-column extraction, row
+// dominance and column dominance until none of them changes the
+// matrix, returning the cyclic core.  Column dominance keeps the
+// cheaper column (breaking ties toward the smaller id), so at least
+// one minimum solution of the original problem survives in the core.
+//
+// The tracker (nil: unlimited) is polled between fixpoint passes and,
+// when the budget runs out, the partially reduced problem is returned
+// with Stopped set.  Each individual pass preserves the optimum, so a
+// stopped reduction is still a valid, equivalent covering problem.
+//
+// The dominance passes shard across up to workers goroutines (≤ 1:
+// fully sequential).  The output is bit-identical to the sequential
+// engine for any worker count: each pass gathers its candidate kills
+// per shard from immutable pass-start state — both kill sets are
+// order-independent, see dropSupersetRows — and applies them in
+// canonical index order.
+func ReduceBudgetWorkers(p *Problem, tr *budget.Tracker, workers int) *Reduction {
+	return reduce(p, tr, workers, nil, nil)
 }
 
 // ReduceTrace records the dominance facts a reduction applied, as
@@ -303,14 +278,14 @@ type ReduceTrace struct {
 	ColKills [][2]int32
 }
 
-// ReduceTrackedTrace is ReduceTrackedWorkers plus a fact trace for
+// ReduceTrackedTrace is ReduceBudgetWorkers plus a fact trace for
 // later incremental replay (see ReplayReduce).  Tracing pins the
 // reduction to the sparse engine — whose output is bit-identical to
 // the dense one by contract — and costs one extra O(rows+cols) scratch
 // pass per fixpoint round.
-func ReduceTrackedTrace(p *Problem, tr *budget.Tracker, workers int) (*TrackedReduction, *ReduceTrace) {
+func ReduceTrackedTrace(p *Problem, tr *budget.Tracker, workers int) (*Reduction, *ReduceTrace) {
 	trace := &ReduceTrace{}
-	return reduceTrackedT(p, tr, workers, trace, nil), trace
+	return reduce(p, tr, workers, trace, nil), trace
 }
 
 // reduceScratch carries the fixpoint loop's reusable state: the packed
@@ -371,14 +346,12 @@ func sigOf(ids []int) uint64 {
 	return s
 }
 
-func reduceTracked(p *Problem, tr *budget.Tracker, workers int) *TrackedReduction {
-	return reduceTrackedT(p, tr, workers, nil, nil)
-}
-
-// colHints, when non-nil, seeds the first column-dominance pass with
-// replayed candidate kills; see reduceScratch.colHints.
-func reduceTrackedT(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, colHints [][2]int32) *TrackedReduction {
-	res := &TrackedReduction{}
+// reduce is the fixpoint behind every reduction entry point.  trace,
+// when non-nil, collects the applied dominance facts; colHints, when
+// non-nil, seeds the first column-dominance pass with replayed
+// candidate kills (see reduceScratch.colHints).
+func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, colHints [][2]int32) *Reduction {
+	res := &Reduction{}
 	// The dense bit-matrix engine and this sparse loop implement the
 	// identical fixpoint (same orders, same tie-breaks); the choice is
 	// purely a data-layout decision.  Tracing needs the sparse loop's

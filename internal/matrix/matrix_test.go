@@ -84,7 +84,7 @@ func TestIsCoverAndCost(t *testing.T) {
 func TestReduceEssential(t *testing.T) {
 	// Row {1} forces column 1; the rows containing 1 then vanish.
 	p := MustNew([][]int{{1}, {1, 2}, {0, 2}}, 3, nil)
-	r := Reduce(p)
+	r := ReduceBudgetWorkers(p, nil, 1)
 	if r.Infeasible {
 		t.Fatal("feasible problem reported infeasible")
 	}
@@ -101,7 +101,7 @@ func TestReduceEssential(t *testing.T) {
 
 func TestReduceInfeasible(t *testing.T) {
 	p := &Problem{Rows: [][]int{{}}, NCol: 2, Cost: []int{1, 1}}
-	r := Reduce(p)
+	r := ReduceBudgetWorkers(p, nil, 1)
 	if !r.Infeasible {
 		t.Fatal("empty row not flagged infeasible")
 	}
@@ -112,7 +112,7 @@ func TestReducePreservesOptimum(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		p := randomProblem(rng, 7, 7)
 		want := bruteForce(p)
-		r := Reduce(p)
+		r := ReduceBudgetWorkers(p, nil, 1)
 		if r.Infeasible {
 			t.Fatalf("trial %d: random problem infeasible", trial)
 		}
@@ -133,8 +133,8 @@ func TestCyclicCoreIsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 100; trial++ {
 		p := randomProblem(rng, 8, 8)
-		r := Reduce(p)
-		r2 := Reduce(r.Core)
+		r := ReduceBudgetWorkers(p, nil, 1)
+		r2 := ReduceBudgetWorkers(r.Core, nil, 1)
 		if len(r2.Essential) != 0 {
 			t.Fatalf("trial %d: core not stable, found essentials %v", trial, r2.Essential)
 		}
@@ -274,7 +274,7 @@ func TestQuickReduceNeverRaisesOptimum(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 6, 6)
-		r := Reduce(p)
+		r := ReduceBudgetWorkers(p, nil, 1)
 		got := p.CostOf(r.Essential)
 		if len(r.Core.Rows) > 0 {
 			got += bruteForce(r.Core)
@@ -298,7 +298,7 @@ func TestReduceTrackedProvenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 300; trial++ {
 		p := randomProblem(rng, 9, 9)
-		tr := ReduceTracked(p)
+		tr := ReduceBudgetWorkers(p, nil, 1)
 		if tr.Infeasible {
 			continue
 		}

@@ -8,7 +8,7 @@ import (
 
 // sameTracked asserts two tracked reductions are bit-identical:
 // essentials, core rows, provenance and flags.
-func sameTracked(t *testing.T, label string, got, want *TrackedReduction) {
+func sameTracked(t *testing.T, label string, got, want *Reduction) {
 	t.Helper()
 	if got.Infeasible != want.Infeasible || got.Stopped != want.Stopped {
 		t.Fatalf("%s: flags differ: got (inf %v, stop %v) want (inf %v, stop %v)",
@@ -48,9 +48,9 @@ func TestReduceWorkersBitIdentical(t *testing.T) {
 			rng := rand.New(rand.NewSource(47))
 			for trial := 0; trial < 150; trial++ {
 				p := randReduceProblem(rng, 40, 40, 3, trial%7 == 0)
-				want := ReduceTrackedWorkers(p, nil, 1)
+				want := ReduceBudgetWorkers(p, nil, 1)
 				for _, workers := range []int{2, 4, 8} {
-					got := ReduceTrackedWorkers(p, nil, workers)
+					got := ReduceBudgetWorkers(p, nil, workers)
 					sameTracked(t, engine, got, want)
 				}
 			}
@@ -81,9 +81,9 @@ func TestReduceWorkersBitIdenticalLarge(t *testing.T) {
 	}
 	p := MustNew(rows, 700, cost)
 	defer SetReduceEngine("sparse")()
-	want := ReduceTrackedWorkers(p, nil, 1)
+	want := ReduceBudgetWorkers(p, nil, 1)
 	for _, workers := range []int{2, 4, 8} {
-		sameTracked(t, "large", ReduceTrackedWorkers(p, nil, workers), want)
+		sameTracked(t, "large", ReduceBudgetWorkers(p, nil, workers), want)
 	}
 }
 

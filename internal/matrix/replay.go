@@ -42,13 +42,13 @@ import "ucp/internal/budget"
 // survives the edit: verification costs O(size of the replayed facts),
 // versus the quadratic (signature-pruned) candidate scans a cold
 // fixpoint spends discovering them.
-func ReplayReduce(d *Delta, trace *ReduceTrace, tr *budget.Tracker, workers int) (*TrackedReduction, *ReduceTrace) {
+func ReplayReduce(d *Delta, trace *ReduceTrace, tr *budget.Tracker, workers int) (*Reduction, *ReduceTrace) {
 	child := d.Child
 	newTrace := &ReduceTrace{}
 	n := len(child.Rows)
 
-	identity := func() *TrackedReduction {
-		res := &TrackedReduction{}
+	identity := func() *Reduction {
+		res := &Reduction{}
 		res.Core = child.Clone()
 		res.RowOrigin = make([]int, n)
 		for i := range res.RowOrigin {
@@ -135,7 +135,7 @@ func ReplayReduce(d *Delta, trace *ReduceTrace, tr *budget.Tracker, workers int)
 	// confirming pass.  Facts it records are in work-row indices —
 	// remap them (and the provenance) to child rows on the way out.
 	subTrace := &ReduceTrace{}
-	red := reduceTrackedT(work, tr, workers, subTrace, trace.ColKills)
+	red := reduce(work, tr, workers, subTrace, trace.ColKills)
 	for i, o := range red.RowOrigin {
 		red.RowOrigin[i] = orig[o]
 	}

@@ -341,6 +341,6 @@ func TestEmptyFunction(t *testing.T) {
 		if err != nil || len(prob.Rows) != 0 {
 			t.Fatalf("err=%v rows=%d", err, len(prob.Rows))
 		}
-		_ = matrix.Reduce(prob)
+		_ = matrix.ReduceBudgetWorkers(prob, nil, 1)
 	})
 }

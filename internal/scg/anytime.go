@@ -47,6 +47,11 @@ func newAnytime(essential []int, essCost, nblocks int, emit func([]int, int, flo
 	}
 }
 
+// slot returns the hook that feeds block c's incumbents to a.
+func (a *anytime) slot(c int) func([]int, int, float64) {
+	return func(sol []int, cost int, lb float64) { a.update(c, sol, cost, lb) }
+}
+
 // update records block c's latest incumbent (sol may be nil: only the
 // bound moved) and emits a fresh assembled cover when the global cost
 // improved or the global bound tightened.

@@ -9,40 +9,54 @@ import (
 	"ucp/internal/solvecache"
 )
 
-// cacheKey builds the cache key for one solve: the problem's canonical
-// 128-bit fingerprint (row/column permutations of the same instance
-// share it) folded with a digest of every option that can change the
-// result.  Workers is deliberately excluded — the portfolio's output
-// is bit-identical for any worker count — and so are the budget's
-// deadline, cancellation context, search and iteration caps: when one
-// of those fires the solve reports Interrupted and is never admitted.
-// The ZDD NodeCap does enter the digest, because the implicit phase's
-// explicit-fallback degradation is a silent (non-interrupting) result
-// change.
-//
-// The canonical form is returned alongside the key: because the key is
-// label-invariant, solutions must cross the cache in canonical column
-// indices (see toCanonical / fromCanonical), translated through each
-// prober's own column permutation.
-func cacheKey(p *matrix.Problem, opt *Options) (solvecache.Key, *canon.Canonical) {
+// resultWords lists, as digest words, every option that can change a
+// solve's result; the cache key and the resolve parent check
+// (sameResultOptions) both derive from it.  Workers is deliberately
+// excluded — the portfolio's output is bit-identical for any worker
+// count — and so are the observational and routing fields (OnImprove,
+// MemBudget, SpillDir, Cache) and the budget's deadline, cancellation
+// context, search and iteration caps: when one of those fires the
+// solve reports Interrupted, is never cached and never serves as a
+// resolve parent.  The ZDD NodeCap does enter, because the implicit
+// phase's explicit-fallback degradation is a silent (non-interrupting)
+// result change — unless DisableImplicit leaves no phase to cap.
+func resultWords(opt *Options) [21]uint64 {
 	b2u := func(b bool) uint64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
+	nodeCap := opt.Budget.NodeCap
+	if opt.DisableImplicit {
+		nodeCap = 0
+	}
 	pp := opt.Params
-	d := canon.DigestWords(0x5343_4731, // "SCG1"
+	return [...]uint64{
 		uint64(opt.NumIter), uint64(opt.BestCol),
 		uint64(opt.MaxR), uint64(opt.MaxC), uint64(opt.Seed),
 		b2u(opt.DisableImplicit), b2u(opt.DisablePenalties),
 		b2u(opt.DisablePromising), b2u(opt.DisablePartition),
-		b2u(opt.DisableWarmStart), uint64(opt.Budget.NodeCap),
+		b2u(opt.DisableWarmStart), uint64(nodeCap),
 		math.Float64bits(pp.Alpha), math.Float64bits(pp.CHat),
 		math.Float64bits(pp.MuHat), math.Float64bits(pp.Delta),
 		math.Float64bits(pp.T0), math.Float64bits(pp.TMin),
 		uint64(pp.NT), uint64(pp.MaxIters), uint64(pp.DualPen),
-		uint64(pp.GreedyEvery))
+		uint64(pp.GreedyEvery),
+	}
+}
+
+// cacheKey builds the cache key for one solve: the problem's canonical
+// 128-bit fingerprint (row/column permutations of the same instance
+// share it) folded with a digest of resultWords.
+//
+// The canonical form is returned alongside the key: because the key is
+// label-invariant, solutions must cross the cache in canonical column
+// indices (see toCanonical / fromCanonical), translated through each
+// prober's own column permutation.
+func cacheKey(p *matrix.Problem, opt *Options) (solvecache.Key, *canon.Canonical) {
+	words := resultWords(opt)
+	d := canon.DigestWords(0x5343_4731, words[:]...) // "SCG1"
 	cn := canon.Canonicalize(p)
 	fp := cn.FP.Derive(d)
 	return solvecache.Key{Hi: fp.Hi, Lo: fp.Lo}, cn
@@ -80,7 +94,7 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 	var mine *Result
 	v, _ := opt.Cache.DoChan(key, cancel, func() (any, time.Duration, bool) {
 		t0 := time.Now()
-		mine = solve(p, opt)
+		mine = solve(p, opt, nil)
 		mine.Stats.CacheMisses = 1
 		cp := copyResult(mine)
 		canSol, ok := cn.EncodeCols(cp.Solution, p.NCol)
@@ -98,7 +112,7 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 		ok = p.IsCover(sol) && p.CostOf(sol) == res.Cost
 	}
 	if !ok {
-		res = solve(p, opt)
+		res = solve(p, opt, nil)
 		res.Stats.CacheMisses = 1
 		return res
 	}

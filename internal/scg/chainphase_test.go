@@ -51,9 +51,9 @@ func TestChainReducesLiveNodes(t *testing.T) {
 	const cap = 500_000
 	p := plaCovering(t, "max1024")
 
-	chain := ImplicitReduceBudget(p, 1, 1, cap, nil)
+	chain := ImplicitReduceBudgetWorkers(p, 1, 1, cap, nil, 1)
 	restore := SetZDDChain(false)
-	plain := ImplicitReduceBudget(p, 1, 1, cap, nil)
+	plain := ImplicitReduceBudgetWorkers(p, 1, 1, cap, nil, 1)
 	restore()
 
 	if chain.Aborted || plain.Aborted {
@@ -76,9 +76,9 @@ func TestChainReducesLiveNodes(t *testing.T) {
 	// rows are random triples, not cover tails); the representation
 	// must still strictly help, never hurt.
 	g := cappedDepthInstance(t)
-	gc := ImplicitReduceBudget(g, 1, 1, cap, nil)
+	gc := ImplicitReduceBudgetWorkers(g, 1, 1, cap, nil, 1)
 	restore = SetZDDChain(false)
-	gp := ImplicitReduceBudget(g, 1, 1, cap, nil)
+	gp := ImplicitReduceBudgetWorkers(g, 1, 1, cap, nil, 1)
 	restore()
 	if !sameCore(gc, gp) {
 		t.Fatal("engines disagree on the gcdepth core")
@@ -99,7 +99,7 @@ func TestChainRaisesImplicitCeiling(t *testing.T) {
 	const cap = 2620
 	p := plaCovering(t, "exam")
 
-	chain := ImplicitReduceBudget(p, 1, 1, cap, nil)
+	chain := ImplicitReduceBudgetWorkers(p, 1, 1, cap, nil, 1)
 	if chain.Aborted {
 		t.Fatalf("chain engine aborted under cap %d", cap)
 	}
@@ -108,13 +108,13 @@ func TestChainRaisesImplicitCeiling(t *testing.T) {
 	}
 	// Loose-cap reference (nodeCap = 0 would take the dense shortcut,
 	// which decodes its core in input order rather than ZDD order).
-	ref := ImplicitReduceBudget(p, 1, 1, 500_000, nil)
+	ref := ImplicitReduceBudgetWorkers(p, 1, 1, 500_000, nil, 1)
 	if !sameCore(chain, ref) {
 		t.Fatal("capped chain run reduced to a different core than the uncapped run")
 	}
 
 	restore := SetZDDChain(false)
-	plain := ImplicitReduceBudget(p, 1, 1, cap, nil)
+	plain := ImplicitReduceBudgetWorkers(p, 1, 1, cap, nil, 1)
 	restore()
 	if !plain.Aborted {
 		t.Fatalf("plain engine completed under cap %d: cap too loose to show the ceiling gain", cap)

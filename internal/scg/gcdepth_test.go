@@ -42,7 +42,7 @@ const cappedDepthNodeCap = 10_000
 func TestNodeCapGCReachesSmallerCore(t *testing.T) {
 	p := cappedDepthInstance(t)
 
-	ir := ImplicitReduceBudget(p, 1, 1, cappedDepthNodeCap, nil)
+	ir := ImplicitReduceBudgetWorkers(p, 1, 1, cappedDepthNodeCap, nil, 1)
 	if ir.Aborted {
 		t.Fatalf("GC'd phase aborted under cap %d", cappedDepthNodeCap)
 	}
@@ -54,7 +54,7 @@ func TestNodeCapGCReachesSmallerCore(t *testing.T) {
 	}
 
 	restore := SetZDDGC(false)
-	pre := ImplicitReduceBudget(p, 1, 1, cappedDepthNodeCap, nil)
+	pre := ImplicitReduceBudgetWorkers(p, 1, 1, cappedDepthNodeCap, nil, 1)
 	restore()
 	if !pre.Aborted {
 		t.Fatalf("pre-GC engine finished under cap %d: cap too loose to show the depth gain", cappedDepthNodeCap)
@@ -62,7 +62,7 @@ func TestNodeCapGCReachesSmallerCore(t *testing.T) {
 
 	// Sanity: the GC'd core agrees with the uncapped ZDD fixpoint.
 	restoreDense := SetDenseImplicit(false)
-	full := ImplicitReduce(p, 1, 1)
+	full := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1)
 	restoreDense()
 	if full.Aborted || len(full.Core.Rows) != len(ir.Core.Rows) {
 		t.Fatalf("capped core has %d rows, uncapped fixpoint %d", len(ir.Core.Rows), len(full.Core.Rows))

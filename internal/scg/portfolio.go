@@ -94,27 +94,12 @@ type runResult struct {
 	steps int
 }
 
-// solveBlocks runs the portfolio: one init job per block, then one job
-// per (block, restart), all on the shared worker pool.  partIdx is the
-// canonical index of the connected input part the blocks belong to
-// (zero for the whole problem), folded into every restart's RNG
-// stream.  obs (may be nil) collects per-block incumbents for the
-// OnImprove hook.
-func solveBlocks(comps []matrix.Component, partIdx int, opt Options, tr *budget.Tracker, obs *anytime) []*compState {
-	states := make([]*compState, len(comps))
-	pend := make([]int, len(comps))
-	for c, comp := range comps {
-		states[c] = &compState{core: comp.Problem, idx: c, part: partIdx}
-		pend[c] = c
-	}
-	runStates(states, pend, opt, tr, obs)
-	return states
-}
-
 // runStates executes the portfolio for the listed (pending) blocks:
-// one init job each, then one job per restart, all on the shared worker
-// pool.  Blocks outside pend are left untouched — the resolve path
-// passes states it carried over from a parent solve, already final.
+// one init job each, then one job per (block, restart), all on the
+// shared worker pool.  Blocks outside pend are left untouched — a
+// resolve passes states it carried over from a parent solve, already
+// final.  obs (may be nil) collects per-block incumbents for the
+// OnImprove hook.
 func runStates(states []*compState, pend []int, opt Options, tr *budget.Tracker, obs *anytime) {
 	workers := opt.Workers
 	if workers <= 0 {

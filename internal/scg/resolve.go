@@ -1,23 +1,18 @@
 package scg
 
-import (
-	"math"
-	"runtime"
-	"sort"
-	"time"
-
-	"ucp/internal/budget"
-	"ucp/internal/matrix"
-)
+import "ucp/internal/matrix"
 
 // Incremental re-solving.
 //
-// SolveKeep is Solve with the session state kept: the reduction trace,
-// the cyclic core's block decomposition and every block's portfolio
-// results survive in a SolveState.  ResolveState then solves an edited
-// child problem by replaying the parent's reduction (ReplayReduce) and
-// reusing, wholesale, every block whose rows the edit left untouched —
-// a block's portfolio results are a pure function of (rows content,
+// SolveKeep runs the same per-part pipeline as Solve (solvePart) with
+// a keep stage: the reduction trace, the cyclic core's block
+// decomposition and every block's portfolio results survive in a
+// SolveState.  The whole input is one part — replay works on
+// whole-problem row maps — so it is not split into its connected
+// parts first.  ResolveState then solves an edited child problem by
+// replaying the parent's reduction (ReplayReduce) and reusing,
+// wholesale, every block whose rows the edit left untouched — a
+// block's portfolio results are a pure function of (rows content,
 // referenced costs, block index, options), so a positional content
 // match makes reuse bit-exact, not approximate.
 //
@@ -31,14 +26,13 @@ import (
 // side of an incremental re-solve.  It is immutable once returned and
 // safe to share: ResolveState only reads it.
 type SolveState struct {
-	problem   *matrix.Problem
-	opt       Options // filled, implicit phase disabled
-	red       *matrix.TrackedReduction
-	trace     *matrix.ReduceTrace
-	essential []int
-	comps     []matrix.Component
-	states    []*compState
-	res       *Result
+	problem *matrix.Problem
+	opt     Options // filled, implicit phase disabled
+	red     *matrix.Reduction
+	trace   *matrix.ReduceTrace
+	comps   []matrix.Component
+	states  []*compState
+	res     *Result
 }
 
 // Result returns the solve's result (the same value SolveKeep
@@ -70,25 +64,23 @@ type ResolveInfo struct {
 	// CompsReused / CompsSolved count the cyclic core's blocks that
 	// were carried over versus re-solved.
 	CompsReused, CompsSolved int
-	// RowsReduced / RowsTotal measure the replayed reduction: input
-	// rows it eliminated (by replayed facts, rederived facts or
-	// essential coverage) versus total input rows.
-	RowsReduced, RowsTotal int
 }
 
 // SolveKeep runs the explicit-reduction ZDD_SCG pipeline on p and
 // returns the result together with the state a later ResolveState can
-// build on.  Options.Cache and Options.OnImprove are ignored (the
-// retained state is the memoization here, and the observational hook
-// has no defined replay semantics); DisableImplicit is forced on — see
-// the package comment above.
+// build on.  The whole input is solved as one part (part 0): it is not
+// split into its connected parts first, because replay works on
+// whole-problem row maps.  On connected inputs the result therefore
+// equals Solve with DisableImplicit bit for bit; on inputs with several
+// parts it is an equally valid solve whose restart streams, and so
+// possibly its counters and cover, differ.  Options.Cache and
+// Options.OnImprove are ignored (the retained state is the memoization
+// here, and the observational hook has no defined replay semantics);
+// DisableImplicit is forced on — see the package comment above.
 func SolveKeep(p *matrix.Problem, opt Options) (*Result, *SolveState) {
-	opt.fill()
-	opt.DisableImplicit = true
-	opt.Cache = nil
-	opt.OnImprove = nil
+	opt = keptOptions(opt)
 	st := &SolveState{problem: p, opt: opt}
-	st.res = solveKept(p, opt, st, nil, nil, false)
+	st.res = solve(p, opt, &keep{st: st})
 	return st.res, st
 }
 
@@ -98,159 +90,74 @@ func SolveKeep(p *matrix.Problem, opt Options) (*Result, *SolveState) {
 // (and the parent state was not produced under an exhausted budget);
 // the fresh SolveState makes resolves chainable.  A nil or unusable
 // parent state degrades to a full solve, reported in ResolveInfo.
-func ResolveState(d *matrix.Delta, st *SolveState, opt Options, ro ResolveOptions) (*Result, *SolveState, *ResolveInfo) {
+func ResolveState(d *matrix.Delta, st *SolveState, opt Options, ro ResolveOptions) (*Result, *SolveState, ResolveInfo) {
+	opt = keptOptions(opt)
+	next := &SolveState{problem: d.Child, opt: opt}
+	kp := &keep{st: next}
+	fallback := st == nil || st.res == nil || st.res.Interrupted || st.red == nil || st.red.Stopped ||
+		!sameResultOptions(st.opt, opt) || !matrix.Equal(st.problem, d.Parent)
+	if !fallback {
+		kp.d, kp.parent, kp.warm = d, st, ro.WarmStart
+	}
+	next.res = solve(d.Child, opt, kp)
+	return next.res, next, ResolveInfo{
+		Fallback:    fallback,
+		CompsReused: kp.reused,
+		CompsSolved: len(next.comps) - kp.reused,
+	}
+}
+
+// keptOptions fills opt for a kept solve: the explicit pipeline, no
+// cache, no OnImprove hook (see SolveKeep).
+func keptOptions(opt Options) Options {
 	opt.fill()
 	opt.DisableImplicit = true
 	opt.Cache = nil
 	opt.OnImprove = nil
-	info := &ResolveInfo{RowsTotal: len(d.Child.Rows)}
-	if st == nil || st.res == nil || st.res.Interrupted || st.red == nil || st.red.Stopped ||
-		!sameResultOptions(st.opt, opt) || !matrix.Equal(st.problem, d.Parent) {
-		info.Fallback = true
-		res, next := SolveKeep(d.Child, opt)
-		info.CompsSolved = len(next.comps)
-		return res, next, info
-	}
-	next := &SolveState{problem: d.Child, opt: opt}
-	next.res = solveKept(d.Child, opt, next, d, st, ro.WarmStart)
-	for _, cs := range next.states {
-		reused := false
-		for _, ps := range st.states {
-			if ps == cs {
-				reused = true
-				break
-			}
-		}
-		if reused {
-			info.CompsReused++
-		} else {
-			info.CompsSolved++
-		}
-	}
-	if next.red != nil {
-		info.RowsReduced = len(d.Child.Rows) - len(next.red.Core.Rows)
-	}
-	return next.res, next, info
+	return opt
 }
 
-// solveKept is solve() for the explicit pipeline with state capture:
-// when d and parent are non-nil the reduction replays the parent's
-// trace and unchanged blocks are carried over (warm-seeding re-solved
-// blocks when warm is set).  st receives the session state as it is
-// built.
-func solveKept(p *matrix.Problem, opt Options, st *SolveState, d *matrix.Delta, parent *SolveState, warm bool) *Result {
-	t0 := time.Now()
-	res := &Result{}
-	tr := opt.Budget.Tracker()
-	defer func() {
-		if r := tr.Reason(); r != budget.None {
-			res.Interrupted = true
-			res.StopReason = r
-		}
-	}()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// ----- explicit reductions, replayed when a parent trace exists -----
-	var red *matrix.TrackedReduction
-	var trace *matrix.ReduceTrace
-	if d != nil && parent != nil {
-		red, trace = matrix.ReplayReduce(d, parent.trace, tr, workers)
-	} else {
-		red, trace = matrix.ReduceTrackedTrace(p, tr, workers)
-	}
-	st.red, st.trace = red, trace
-	if red.Infeasible {
-		res.Stats.TotalTime = time.Since(t0)
-		return res
-	}
-	essential := append([]int(nil), red.Essential...)
-	st.essential = essential
-	core := red.Core
-	res.Stats.CyclicCoreTime = time.Since(t0)
-	res.Stats.CoreRows = len(core.Rows)
-	res.Stats.CoreCols = len(core.ActiveCols())
-
-	essCost := p.CostOf(essential)
-	if len(core.Rows) == 0 {
-		if essential == nil {
-			essential = []int{} // nil would read as "infeasible"
-		}
-		sort.Ints(essential)
-		res.Solution = essential
-		res.Cost = essCost
-		res.LB = float64(essCost)
-		res.ProvedOptimal = true
-		res.Stats.TotalTime = time.Since(t0)
-		return res
-	}
-
-	// ----- block decomposition, mirroring solve() exactly -----
-	comps := []matrix.Component{{Problem: core, RowIdx: coreRowIdx(core)}}
-	if !opt.DisablePartition {
-		if split := matrix.Components(core); len(split) > 1 {
-			comps = split
-		}
-	}
-	st.comps = comps
-
-	// ----- portfolio, reusing blocks the edit left untouched -----
-	states := make([]*compState, len(comps))
-	var pend []int
-	var warmer *warmSource
-	for c := range comps {
-		if parent != nil && c < len(parent.states) && c < len(parent.comps) &&
-			compMatches(parent.comps[c].Problem, comps[c].Problem) {
-			// Positional content match: the block's results are a pure
-			// function of (rows, referenced costs, index, options), all
-			// equal — reuse is bit-exact.
-			states[c] = parent.states[c]
-			continue
-		}
-		states[c] = &compState{core: comps[c].Problem, idx: c, capture: true}
-		if warm && parent != nil {
-			if warmer == nil {
-				warmer = newWarmSource(parent, d, red)
-			}
-			states[c].warm = warmer.forComp(comps[c])
-		}
-		pend = append(pend, c)
-	}
-	st.states = states
-	runStates(states, pend, opt, tr, nil)
-
-	best := append([]int(nil), essential...)
-	lbSum := float64(essCost)
-	ceilSum := essCost
-	for _, cs := range states {
-		sol, lb, ok := cs.merge(&res.Stats)
-		if !ok {
-			res.Stats.TotalTime = time.Since(t0)
-			return res
-		}
-		best = append(best, sol...)
-		lbSum += lb
-		ceilSum += int(math.Ceil(lb - 1e-9))
-	}
-	best = p.Irredundant(best)
-	sort.Ints(best)
-	res.Solution = best
-	res.Cost = p.CostOf(best)
-	res.LB = lbSum
-	res.ProvedOptimal = res.Cost <= ceilSum
-	res.Stats.TotalTime = time.Since(t0)
-	return res
+// keep is the keep stage solvePart runs for SolveKeep and
+// ResolveState: st receives the session state as it is built, and
+// with a parent the reduction replays the parent's trace through d
+// and unchanged blocks are carried over (warm-seeding re-solved
+// blocks when warm is set).  A nil *keep is the plain pipeline.
+type keep struct {
+	st     *SolveState
+	d      *matrix.Delta
+	parent *SolveState // nil: a cold kept solve
+	warm   bool
+	warmer *warmSource // built on first use
+	reused int         // blocks carried over from parent
 }
 
-// coreRowIdx is the identity row index for the single-component case.
-func coreRowIdx(core *matrix.Problem) []int {
-	idx := make([]int, len(core.Rows))
-	for i := range idx {
-		idx[i] = i
+// carry returns (and counts as reused) the parent's state for block c
+// when the edit left the block untouched, nil when it must be solved.
+// A positional content match makes reuse bit-exact: a block's
+// portfolio results are a pure function of (rows, referenced costs,
+// block index, options), all equal.
+func (kp *keep) carry(c int, core *matrix.Problem) *compState {
+	if kp == nil || kp.parent == nil {
+		return nil
 	}
-	return idx
+	par := kp.parent
+	if c >= len(par.states) || c >= len(par.comps) || !compMatches(par.comps[c].Problem, core) {
+		return nil
+	}
+	kp.reused++
+	return par.states[c]
+}
+
+// warmStart returns the warm start for a re-solved block, nil for a
+// cold one.
+func (kp *keep) warmStart(comp matrix.Component, red *matrix.Reduction) *warmStart {
+	if !kp.warm {
+		return nil
+	}
+	if kp.warmer == nil {
+		kp.warmer = newWarmSource(kp.parent, kp.d, red)
+	}
+	return kp.warmer.forComp(comp)
 }
 
 // compMatches reports whether two blocks are the same subproblem: the
@@ -283,20 +190,9 @@ func compMatches(pp, cp *matrix.Problem) bool {
 }
 
 // sameResultOptions reports whether two (filled) option sets produce
-// the same results — the fields the cache digest covers, minus Workers
-// (bit-identical by contract) and the budget (fallback already rejects
-// interrupted parents).
+// the same results: the options the cache digest covers (resultWords).
 func sameResultOptions(a, b Options) bool {
-	return a.NumIter == b.NumIter &&
-		a.BestCol == b.BestCol &&
-		a.MaxR == b.MaxR &&
-		a.MaxC == b.MaxC &&
-		a.Params == b.Params &&
-		a.Seed == b.Seed &&
-		a.DisablePenalties == b.DisablePenalties &&
-		a.DisablePromising == b.DisablePromising &&
-		a.DisablePartition == b.DisablePartition &&
-		a.DisableWarmStart == b.DisableWarmStart
+	return resultWords(&a) == resultWords(&b)
 }
 
 // warmSource maps the parent's captured multipliers into a child
@@ -309,7 +205,7 @@ type warmSource struct {
 	muByCol           []float64
 }
 
-func newWarmSource(parent *SolveState, d *matrix.Delta, red *matrix.TrackedReduction) *warmSource {
+func newWarmSource(parent *SolveState, d *matrix.Delta, red *matrix.Reduction) *warmSource {
 	w := &warmSource{}
 	if parent.red == nil {
 		return w
@@ -326,9 +222,9 @@ func newWarmSource(parent *SolveState, d *matrix.Delta, red *matrix.TrackedReduc
 		if ps.lambdaSnap == nil {
 			continue
 		}
-		for pos, coreRow := range comp.RowIdx {
-			if pos < len(ps.lambdaSnap) && coreRow < len(lambdaByParentCore) {
-				lambdaByParentCore[coreRow] = ps.lambdaSnap[pos]
+		for pos, l := range ps.lambdaSnap {
+			if coreRow := coreRowOf(comp, pos); coreRow < len(lambdaByParentCore) {
+				lambdaByParentCore[coreRow] = l
 				haveL[coreRow] = true
 			}
 		}
@@ -362,10 +258,10 @@ func newWarmSource(parent *SolveState, d *matrix.Delta, red *matrix.TrackedReduc
 
 // forComp slices the source down to one child block.
 func (w *warmSource) forComp(comp matrix.Component) *warmStart {
-	lambda := make([]float64, len(comp.RowIdx))
+	lambda := make([]float64, len(comp.Problem.Rows))
 	any := false
-	for pos, coreRow := range comp.RowIdx {
-		if coreRow < len(w.lambdaByChildCore) {
+	for pos := range lambda {
+		if coreRow := coreRowOf(comp, pos); coreRow < len(w.lambdaByChildCore) {
 			lambda[pos] = w.lambdaByChildCore[coreRow]
 			if lambda[pos] != 0 {
 				any = true
@@ -376,4 +272,14 @@ func (w *warmSource) forComp(comp matrix.Component) *warmStart {
 		return nil // nothing carried over: a cold start is strictly better
 	}
 	return &warmStart{lambda: lambda, muByCol: w.muByCol}
+}
+
+// coreRowOf maps row pos of a block to its cyclic-core row: the
+// block's RowIdx entry, or pos itself when the core did not split
+// (the single block is the core, with no row index).
+func coreRowOf(comp matrix.Component, pos int) int {
+	if comp.RowIdx == nil {
+		return pos
+	}
+	return comp.RowIdx[pos]
 }

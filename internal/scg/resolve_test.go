@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ucp/internal/benchmarks"
 	"ucp/internal/bnb"
 	"ucp/internal/matrix"
 )
@@ -91,7 +92,10 @@ func sameSolve(t *testing.T, label string, got, want *Result) {
 }
 
 // TestSolveKeepMatchesSolve: keeping state must not perturb the solve —
-// SolveKeep equals Solve on the explicit pipeline bit for bit.
+// SolveKeep solves the whole input as part 0, so on connected inputs it
+// equals Solve on the explicit pipeline bit for bit.  (Inputs with
+// several parts run different restart streams; the pinned-output table
+// in the root package covers them.)
 func TestSolveKeepMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
@@ -103,6 +107,20 @@ func TestSolveKeepMatchesSolve(t *testing.T) {
 		if st.Result() != got || !matrix.Equal(st.Problem(), p) {
 			t.Fatal("state accessors disagree with the returned result")
 		}
+	}
+	// Connected cyclic instances large enough for the restarts to run.
+	for k, seed := range []int64{1, 2, 4, 5} {
+		p := benchmarks.CyclicCovering(seed, 60, 45, 3)
+		if matrix.Partition(p) != nil {
+			t.Fatalf("seed %d: instance is not connected", seed)
+		}
+		opt := Options{Seed: 11, NumIter: 4, DisableImplicit: true, Workers: 1 + k}
+		want := Solve(p, opt)
+		if want.Stats.Runs == 0 {
+			t.Fatalf("seed %d: no restart ran", seed)
+		}
+		got, _ := SolveKeep(p, opt)
+		sameSolve(t, "keep cyclic", got, want)
 	}
 }
 
@@ -205,4 +223,14 @@ func TestResolveFallback(t *testing.T) {
 		t.Fatal("options change: fallback not reported")
 	}
 	sameSolve(t, "options", got2, want2)
+
+	// A parent that differs only in the subgradient Params.
+	opt3 := opt
+	opt3.Params.MaxIters = 50
+	want3, _ := SolveKeep(d.Child, opt3)
+	got3, _, info := ResolveState(d, stP, opt3, ResolveOptions{})
+	if !info.Fallback {
+		t.Fatal("params change: fallback not reported")
+	}
+	sameSolve(t, "params", got3, want3)
 }

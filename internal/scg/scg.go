@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -206,67 +207,54 @@ func Solve(p *matrix.Problem, opt Options) *Result {
 	if opt.Cache != nil {
 		return solveCached(p, opt)
 	}
-	return solve(p, opt)
+	return solve(p, opt, nil)
 }
 
 // solve is the uncached solver core; opt is already filled.
 //
 // The input first splits into its connected parts (rows share no
-// column across parts), and each part runs the full pipeline —
-// implicit reduction, explicit reduction, core-block portfolio,
-// irredundant cleanup — independently; MergeParts folds the per-part
-// results in canonical part order.  The sharded driver
-// (internal/shard) runs the identical per-part pipeline under its own
-// scheduler, so a sharded solve is bit-identical to this one by
-// construction.  Connected inputs (and DisablePartition) take the
-// single-part path, which is the historical pipeline unchanged.
-func solve(p *matrix.Problem, opt Options) *Result {
+// column across parts), and each part runs the per-part pipeline,
+// solvePart, independently; MergeParts folds the per-part results in
+// canonical part order.  A connected input is one part, as is every
+// input under DisablePartition or a keep stage (kp non-nil, see
+// SolveKeep).  The sharded driver (internal/shard) runs the same
+// pipeline through SolvePart under its own scheduler, so a sharded
+// solve is bit-identical to this one by construction.
+func solve(p *matrix.Problem, opt Options, kp *keep) *Result {
 	t0 := time.Now()
-	res := &Result{}
 	tr := opt.Budget.Tracker()
-	defer func() {
-		if r := tr.Reason(); r != budget.None {
-			res.Interrupted = true
-			res.StopReason = r
+	parts := []matrix.Component{{Problem: p}}
+	if kp == nil && !opt.DisablePartition {
+		if split := matrix.Partition(p); split != nil {
+			parts = split
 		}
-	}()
-
-	var parts []matrix.Component
-	if !opt.DisablePartition {
-		parts = matrix.Partition(p)
-	}
-	if parts == nil {
-		// Connected input (or partitioning disabled): one part, no row
-		// copies, no column compaction.
-		pr := solvePart(p, 0, opt, tr, opt.OnImprove)
-		mergeParts(res, []*PartResult{pr})
-		res.Stats.TotalTime = time.Since(t0)
-		return res
 	}
 
-	// Independent parts solve sequentially, each against its compacted
-	// column universe; the portfolio inside each part still spreads its
-	// blocks and restarts across the worker budget.  OnImprove
-	// composes: each part's incumbents feed one slot of an outer
-	// assembler that emits whole-problem covers.
+	// Parts solve sequentially; the portfolio inside each part still
+	// spreads its blocks and restarts across the worker budget.
+	// OnImprove composes across parts: each part's incumbents feed one
+	// slot of an outer assembler that emits whole-problem covers.
 	var outer *anytime
-	if opt.OnImprove != nil {
+	if opt.OnImprove != nil && len(parts) > 1 {
 		outer = newAnytime(nil, 0, len(parts), opt.OnImprove)
 	}
 	prs := make([]*PartResult, 0, len(parts))
 	for k, part := range parts {
-		var emit func([]int, int, float64)
+		emit := opt.OnImprove
 		if outer != nil {
-			kk := k
-			emit = func(sol []int, cost int, lb float64) { outer.update(kk, sol, cost, lb) }
+			emit = outer.slot(k)
 		}
-		pr := solvePartCompact(part.Problem, k, opt, tr, emit)
+		pr := solvePart(part.Problem, k, len(parts), opt, tr, emit, kp)
 		prs = append(prs, pr)
 		if pr.Solution == nil {
 			break // an uncoverable part: the whole problem is infeasible
 		}
 	}
-	mergeParts(res, prs)
+	res := MergeParts(prs)
+	if r := tr.Reason(); r != budget.None {
+		res.Interrupted = true
+		res.StopReason = r
+	}
 	res.Stats.TotalTime = time.Since(t0)
 	return res
 }
@@ -286,53 +274,50 @@ type PartResult struct {
 	Stats    Stats
 }
 
-// SolvePart runs the full per-part pipeline on one connected part of
-// an input problem.  partIdx is the part's canonical index, which
-// seeds the part's restart RNG streams; column ids in part (and in the
-// returned Solution) are the input problem's.  The caller owns the
-// decomposition contract: part really is one connected component and
-// partIdx its canonical position, or the solve is still valid but no
-// longer bit-comparable with solving the whole input.  Options.Cache
-// and Options.OnImprove are ignored at part level.
-func SolvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker) *PartResult {
+// SolvePart runs the per-part pipeline on one connected part of an
+// input problem that splits into nparts parts.  partIdx is the part's
+// canonical index, which seeds the part's restart RNG streams; column
+// ids in part (and in the returned Solution) are the input problem's.
+// When nparts > 1 the part is a slice of a wider column universe, so
+// it is first compacted to its active columns (an O(nnz) operation,
+// see matrix.CompactSparse) and the solution is mapped back: per-part
+// costs never scale with the parent's NCol.  The caller owns the
+// decomposition contract: part really is one connected component of
+// an nparts-part input and partIdx its canonical position, or the
+// solve is still valid but no longer bit-comparable with solving the
+// whole input.  Options.Cache and Options.OnImprove are ignored at
+// part level.
+func SolvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker) *PartResult {
 	opt.fill()
-	return solvePart(part, partIdx, opt, tr, nil)
+	return solvePart(part, partIdx, nparts, opt, tr, nil, nil)
 }
 
-// SolvePartCompact is SolvePart for parts carved out of a much wider
-// column universe: the part is first compacted to its active columns
-// (an O(nnz) operation, see matrix.CompactSparse) and the solution is
-// mapped back, so per-part costs never scale with the parent's NCol.
-func SolvePartCompact(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker) *PartResult {
-	opt.fill()
-	return solvePartCompact(part, partIdx, opt, tr, nil)
-}
-
-// solvePartCompact compacts the part's columns, solves, and maps the
-// solution (and emitted incumbents) back to input column ids.
-func solvePartCompact(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker, emit func([]int, int, float64)) *PartResult {
-	sub, ids := part.CompactSparse()
-	inner := emit
-	if emit != nil {
-		inner = func(sol []int, cost int, lb float64) {
-			emit(mapCols(sol, ids), cost, lb)
+// solvePart is the per-part pipeline (Figure 2 of the paper): column
+// compaction when the input has several parts, implicit reduction,
+// explicit reduction, block portfolio over the cyclic core, per-part
+// irredundant cleanup.  emit (may be nil) receives the part's
+// improving incumbents.  kp (may be nil) is the keep stage of an
+// incremental solve: its explicit reduction is traced, or replayed
+// from the parent's trace, and its portfolio carries unchanged parent
+// blocks over and captures multipliers.
+func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) (pr *PartResult) {
+	pr = &PartResult{}
+	if nparts > 1 {
+		// Solve against the part's own active columns; the solution and
+		// the emitted incumbents map back to input column ids.
+		var ids []int
+		part, ids = part.CompactSparse()
+		if inner := emit; inner != nil {
+			emit = func(sol []int, cost int, lb float64) { inner(mapCols(sol, ids), cost, lb) }
 		}
+		defer func() {
+			if pr.Solution != nil {
+				pr.Solution = mapCols(pr.Solution, ids)
+				sort.Ints(pr.Solution)
+			}
+		}()
 	}
-	pr := solvePart(sub, partIdx, opt, tr, inner)
-	if pr.Solution != nil {
-		pr.Solution = mapCols(pr.Solution, ids)
-		sort.Ints(pr.Solution)
-	}
-	return pr
-}
-
-// solvePart is the historical single-pipeline solve applied to one
-// part: implicit reduction, explicit reduction, block portfolio over
-// the cyclic core, per-part irredundant cleanup.  emit (may be nil)
-// receives the part's improving incumbents.
-func solvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker, emit func([]int, int, float64)) *PartResult {
 	t0 := time.Now()
-	pr := &PartResult{}
 
 	// The reduction fixpoints shard their dominance passes across the
 	// same worker budget the restart portfolio uses; the merge is
@@ -364,8 +349,21 @@ func solvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracke
 		}
 	}
 
-	// ----- explicit reductions -----
-	red := matrix.ReduceBudgetWorkers(work, tr, workers)
+	// ----- explicit reductions: plain, or traced for a kept solve and
+	// replayed from the parent's trace for a resolve (a kept solve has
+	// one part and no implicit phase, so work is kp.d.Child) -----
+	var red *matrix.Reduction
+	switch {
+	case kp == nil:
+		red = matrix.ReduceBudgetWorkers(work, tr, workers)
+	case kp.parent == nil:
+		red, kp.st.trace = matrix.ReduceTrackedTrace(work, tr, workers)
+	default:
+		red, kp.st.trace = matrix.ReplayReduce(kp.d, kp.parent.trace, tr, workers)
+	}
+	if kp != nil {
+		kp.st.red = red
+	}
 	if red.Infeasible {
 		return pr
 	}
@@ -403,7 +401,26 @@ func solvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracke
 	if emit != nil {
 		obs = newAnytime(essential, essCost, len(comps), emit)
 	}
-	states := solveBlocks(comps, partIdx, opt, tr, obs)
+	states := make([]*compState, len(comps))
+	pend := make([]int, 0, len(comps))
+	for c, comp := range comps {
+		if ps := kp.carry(c, comp.Problem); ps != nil {
+			states[c] = ps
+			continue
+		}
+		states[c] = &compState{core: comp.Problem, idx: c, part: partIdx}
+		if kp != nil {
+			states[c].capture = true
+			states[c].warm = kp.warmStart(comp, red)
+		}
+		pend = append(pend, c)
+	}
+	if kp != nil {
+		// A clone, so a plain solve's one-block slice stays off the heap.
+		kp.st.comps, kp.st.states = slices.Clone(comps), states
+	}
+	runStates(states, pend, opt, tr, obs)
+
 	best := append([]int(nil), essential...)
 	lbSum := float64(essCost)
 	ceilSum := essCost
@@ -435,19 +452,13 @@ func solvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracke
 // budget tracker.
 func MergeParts(prs []*PartResult) *Result {
 	res := &Result{}
-	mergeParts(res, prs)
-	return res
-}
-
-func mergeParts(res *Result, prs []*PartResult) {
 	sol := []int{}
 	cost, ceilSum := 0, 0
 	lbSum := 0.0
 	for _, pr := range prs {
 		foldStats(&res.Stats, &pr.Stats)
 		if pr.Solution == nil {
-			res.Solution = nil
-			return
+			return res // Solution stays nil
 		}
 		sol = append(sol, pr.Solution...)
 		cost += pr.Cost
@@ -459,6 +470,7 @@ func mergeParts(res *Result, prs []*PartResult) {
 	res.Cost = cost
 	res.LB = lbSum
 	res.ProvedOptimal = cost <= ceilSum
+	return res
 }
 
 // foldStats accumulates one part's counters into the whole-solve
@@ -643,7 +655,7 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 		// Per-restart re-reductions stay sequential: the portfolio
 		// already spreads the restarts across the worker budget, so
 		// sharding these small fixpoints too would only oversubscribe.
-		red := matrix.ReduceTracked(next)
+		red := matrix.ReduceBudgetWorkers(next, nil, 1)
 		if red.Infeasible {
 			// Dropping columns emptied a row: no improving solution
 			// completes this path.

@@ -176,7 +176,7 @@ func TestImplicitReducePreservesOptimum(t *testing.T) {
 		for trial := 0; trial < 150; trial++ {
 			p := randomProblem(rng, 9, 9, 3)
 			want := bnb.Solve(p, bnb.Options{}).Cost
-			ir := ImplicitReduce(p, 1, 1) // thresholds tiny: run to fixpoint
+			ir := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1) // thresholds tiny: run to fixpoint
 			if ir.Infeasible {
 				t.Fatalf("dense=%v trial %d: feasible problem reported infeasible", dense, trial)
 			}
@@ -199,14 +199,14 @@ func TestImplicitReduceAgreesWithExplicit(t *testing.T) {
 		rng := rand.New(rand.NewSource(87))
 		for trial := 0; trial < 100; trial++ {
 			p := randomProblem(rng, 9, 9, 1)
-			ir := ImplicitReduce(p, 1, 1)
-			er := matrix.Reduce(p)
+			ir := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1)
+			er := matrix.ReduceBudgetWorkers(p, nil, 1)
 			if ir.Infeasible != er.Infeasible {
 				t.Fatalf("dense=%v trial %d: infeasibility disagreement", dense, trial)
 			}
 			// The cyclic cores must have the same number of rows: both
 			// reduction systems implement the same fixpoint.
-			irFinal := matrix.Reduce(ir.Core) // implicit may stop at threshold
+			irFinal := matrix.ReduceBudgetWorkers(ir.Core, nil, 1) // implicit may stop at threshold
 			if len(irFinal.Core.Rows) != len(er.Core.Rows) {
 				t.Fatalf("dense=%v trial %d: core sizes differ: %d vs %d",
 					dense, trial, len(irFinal.Core.Rows), len(er.Core.Rows))
@@ -218,7 +218,7 @@ func TestImplicitReduceAgreesWithExplicit(t *testing.T) {
 
 func TestImplicitReduceInfeasible(t *testing.T) {
 	p := &matrix.Problem{Rows: [][]int{{}, {0}}, NCol: 1, Cost: []int{1}}
-	ir := ImplicitReduce(p, 100, 100)
+	ir := ImplicitReduceBudgetWorkers(p, 100, 100, 0, nil, 1)
 	if !ir.Infeasible {
 		t.Fatal("empty row not detected in implicit phase")
 	}

@@ -35,7 +35,7 @@ type ImplicitResult struct {
 	Dense bool
 }
 
-// denseImplicit gates the dense shortcut of ImplicitReduceBudget; the
+// denseImplicit gates the dense shortcut of the implicit phase; the
 // tests flip it to exercise the ZDD engine on instances the shortcut
 // would otherwise claim.
 var denseImplicit = true
@@ -74,9 +74,9 @@ func validCols(p *matrix.Problem) bool {
 	return true
 }
 
-// ImplicitReduce loads the covering matrix into a single ZDD — one set
-// of column ids per row — and iterates the implicit reductions of the
-// paper's ZDD_Reductions procedure:
+// ImplicitReduceBudgetWorkers loads the covering matrix into a single
+// ZDD — one set of column ids per row — and iterates the implicit
+// reductions of the paper's ZDD_Reductions procedure:
 //
 //   - duplicate rows collapse for free (ZDD canonicity),
 //   - row dominance is the Minimal operation (keep inclusion-minimal
@@ -91,32 +91,24 @@ func validCols(p *matrix.Problem) bool {
 // explicit size falls below maxR rows and maxC columns (the paper's
 // MaxR/MaxC early exit), and the surviving family is decoded back to a
 // sparse matrix.
-func ImplicitReduce(p *matrix.Problem, maxR, maxC int) *ImplicitResult {
-	return ImplicitReduceBudget(p, maxR, maxC, 0, nil)
-}
-
-// ImplicitReduceBudget is ImplicitReduce under a budget.  nodeCap
-// limits the ZDD manager's node store (0 = unlimited) and tr carries
-// the deadline; when either cuts the phase short the result comes back
-// with Aborted set and the caller degrades to the explicit reduction
-// path — the paper's algorithm still terminates with the same final
-// cover it would produce with the implicit phase disabled.
 //
-// The node cap measures the *live* working set, not the allocation
-// history: the surviving family is a registered GC root, dead
-// intermediate results are reclaimed by mark-sweep collections (both
-// proactively near the cap and in response to a cap overrun, which is
-// retried after the sweep), and only when the live nodes themselves
-// crowd the cap — or the retry budget is spent — does the phase abort.
-func ImplicitReduceBudget(p *matrix.Problem, maxR, maxC, nodeCap int, tr *budget.Tracker) (res *ImplicitResult) {
-	return ImplicitReduceBudgetWorkers(p, maxR, maxC, nodeCap, tr, 1)
-}
-
-// ImplicitReduceBudgetWorkers is ImplicitReduceBudget with the
-// explicit dominance passes of the dense shortcut sharded across up to
-// workers goroutines; the ZDD engine itself is sequential (the manager
-// is single-threaded by design), so workers only matters on instances
-// the dense bit-matrix engine claims.
+// nodeCap limits the ZDD manager's node store (0 = unlimited) and tr
+// (nil: unlimited) carries the deadline; when either cuts the phase
+// short the result comes back with Aborted set and the caller degrades
+// to the explicit reduction path — the paper's algorithm still
+// terminates with the same final cover it would produce with the
+// implicit phase disabled.  The node cap measures the *live* working
+// set, not the allocation history: the surviving family is a
+// registered GC root, dead intermediate results are reclaimed by
+// mark-sweep collections (both proactively near the cap and in
+// response to a cap overrun, which is retried after the sweep), and
+// only when the live nodes themselves crowd the cap — or the retry
+// budget is spent — does the phase abort.
+//
+// workers shards the explicit dominance passes of the dense shortcut
+// (below) across up to that many goroutines; the ZDD engine itself is
+// sequential (the manager is single-threaded by design), so workers
+// only matters on instances the dense bit-matrix engine claims.
 func ImplicitReduceBudgetWorkers(p *matrix.Problem, maxR, maxC, nodeCap int, tr *budget.Tracker, workers int) (res *ImplicitResult) {
 	res = &ImplicitResult{}
 

@@ -605,7 +605,7 @@ func (s *Server) fail(j *job, status int, err error) {
 
 func (s *Server) solveGreedy(j *job, bud ucp.Budget) (Response, int) {
 	bud.IterCap = j.req.IterCap
-	sol, interrupted, err := ucp.SolveGreedyBudget(j.prob, bud)
+	sol, interrupted, err := ucp.SolveGreedy(j.prob, bud)
 	if err != nil {
 		if errors.Is(err, ucp.ErrInfeasible) {
 			return Response{Error: err.Error()}, http.StatusUnprocessableEntity

@@ -213,21 +213,17 @@ func (s *sched) loadComp(c *comp) ([][]int, error) {
 }
 
 // solveComp runs one component through the identical per-part pipeline
-// scg.Solve uses — SolvePart for a single-component instance (matching
-// the connected fast path, no column compaction), SolvePartCompact at
-// the canonical part index otherwise.  A component dispatched after
-// the budget already ran out degrades straight to the greedy bottom
-// rung of the deadline ladder instead of grinding through the reduced
-// pipeline.
+// scg.Solve uses, scg.SolvePart at the canonical part index (which
+// compacts the component's columns exactly when the instance has more
+// than one).  A component dispatched after the budget already ran out
+// degrades straight to the greedy bottom rung of the deadline ladder
+// instead of grinding through the reduced pipeline.
 func solveComp(c *comp, ncomps int, cost []int, ncols int, opt scg.Options, tr *budget.Tracker) (*scg.PartResult, bool) {
 	prob := &matrix.Problem{Rows: c.data, NCol: ncols, Cost: cost}
 	if tr.Interrupted() {
 		return greedyPart(prob, tr), true
 	}
-	if ncomps == 1 {
-		return scg.SolvePart(prob, 0, opt, tr), false
-	}
-	return scg.SolvePartCompact(prob, c.id, opt, tr), false
+	return scg.SolvePart(prob, c.id, ncomps, opt, tr), false
 }
 
 // greedyPart completes a late component with the Chvátal greedy (which
@@ -235,7 +231,7 @@ func solveComp(c *comp, ncomps int, cost []int, ncols int, opt scg.Options, tr *
 // completion), yielding a feasible cover with a trivial lower bound.
 func greedyPart(prob *matrix.Problem, tr *budget.Tracker) *scg.PartResult {
 	sub, ids := prob.CompactSparse()
-	sol, _, err := greedy.SolveBudget(sub, tr)
+	sol, _, err := greedy.Solve(sub, tr)
 	if err != nil {
 		return &scg.PartResult{} // uncoverable row: Solution stays nil
 	}

@@ -5,7 +5,7 @@
 // largest-first on a worker pool under a global byte budget, spilling
 // decoded-but-not-yet-scheduled components to disk and re-admitting
 // them on demand.  Each component runs the exact per-part pipeline of
-// internal/scg (SolvePartCompact at the canonical part index), and the
+// internal/scg (SolvePart at the canonical part index), and the
 // per-component results fold through scg.MergeParts — so a sharded
 // solve is bit-identical to the direct scg.Solve of the same instance
 // by construction (see DESIGN.md §17).

@@ -198,9 +198,9 @@ func (m *Manager) NodeCount() int { return len(m.top) }
 // SetNodeLimit caps the node store at n nodes (0 removes the cap).  An
 // operation that would allocate past the cap panics with ErrNodeLimit;
 // callers that want graceful degradation recover it at their phase
-// boundary (see scg.ImplicitReduce) and fall back to an explicit
-// algorithm.  The manager's existing nodes stay valid after the panic,
-// but the family under construction is lost.  With chain reduction a
+// boundary (see scg.ImplicitReduceBudgetWorkers) and fall back to an
+// explicit algorithm.  The manager's existing nodes stay valid after
+// the panic, but the family under construction is lost.  With chain reduction a
 // capped store holds whole chains per node, so the same cap admits a
 // strictly larger family than the plain layout.
 func (m *Manager) SetNodeLimit(n int) { m.limit = n }

@@ -242,16 +242,11 @@ const (
 
 // MinimizeEspresso minimises the PLA with the Espresso-style
 // expand/irredundant/reduce heuristic (the baseline of the paper's
-// Tables 1 and 2).  It never certifies optimality.
-func MinimizeEspresso(f *PLA, mode EspressoMode) *TwoLevelResult {
-	return MinimizeEspressoBudget(f, mode, Budget{})
-}
-
-// MinimizeEspressoBudget is MinimizeEspresso under a budget: the
-// improvement loop stops at the first pass boundary after the budget
-// runs out, where the working cover is always a valid implementation
-// of the function.
-func MinimizeEspressoBudget(f *PLA, mode EspressoMode, b Budget) *TwoLevelResult {
+// Tables 1 and 2) under b.  It never certifies optimality.  When the
+// budget runs out the improvement loop stops at the first pass
+// boundary, where the working cover is always a valid implementation
+// of the function; a zero Budget is unlimited.
+func MinimizeEspresso(f *PLA, mode EspressoMode, b Budget) *TwoLevelResult {
 	return minimizeEspresso(f, mode, b, nil)
 }
 

@@ -92,12 +92,13 @@ func NewProblem(rows [][]int, ncols int, costs []int) (p *Problem, err error) {
 	return matrix.New(rows, ncols, costs)
 }
 
-// Reduction is the outcome of reducing a problem to its cyclic core.
+// Reduction is the outcome of reducing a problem to its cyclic core,
+// with the input row each core row descends from (RowOrigin).
 type Reduction = matrix.Reduction
 
 // ReduceProblem applies essential-column extraction and row/column
 // dominance until fixpoint, returning the cyclic core.
-func ReduceProblem(p *Problem) *Reduction { return matrix.Reduce(p) }
+func ReduceProblem(p *Problem) *Reduction { return matrix.ReduceBudgetWorkers(p, nil, 1) }
 
 // SCGOptions configures the ZDD_SCG solver; the zero value uses the
 // paper's parameters (α = 2, ĉ = 0.001, μ̂ = 0.999, DualPen = 100,
@@ -163,24 +164,16 @@ type ExactResult = bnb.Result
 // mincov role of the paper's Tables 3 and 4).
 func SolveExact(p *Problem, opt ExactOptions) *ExactResult { return bnb.Solve(p, opt) }
 
-// SolveGreedy runs the classical Chvátal greedy heuristic and returns
-// an irredundant cover.  The error is ErrInfeasible when some row of p
-// cannot be covered.
-func SolveGreedy(p *Problem) (sol []int, err error) {
+// SolveGreedy runs the classical Chvátal greedy heuristic under b and
+// returns an irredundant cover.  Greedy is the bottom rung of the
+// degradation ladder: when the budget runs out mid-construction it
+// completes the cover with the cheapest column per remaining uncovered
+// row, so the returned cover is feasible in every case (interrupted
+// reports whether that happened).  A zero Budget is unlimited.  The
+// error is ErrInfeasible when some row of p cannot be covered.
+func SolveGreedy(p *Problem, b Budget) (sol []int, interrupted bool, err error) {
 	defer guard(&err)
-	sol, err = greedy.Solve(p)
-	return sol, err
-}
-
-// SolveGreedyBudget is SolveGreedy under a budget.  Greedy is the
-// bottom rung of the degradation ladder: when the budget runs out
-// mid-construction it completes the cover with the cheapest column per
-// remaining uncovered row, so the returned cover is feasible in every
-// case (interrupted reports whether that happened).
-func SolveGreedyBudget(p *Problem, b Budget) (sol []int, interrupted bool, err error) {
-	defer guard(&err)
-	sol, interrupted, err = greedy.SolveBudget(p, b.Tracker())
-	return sol, interrupted, err
+	return greedy.Solve(p, b.Tracker())
 }
 
 // Bounds carries the four lower bounds compared in the paper's

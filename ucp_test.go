@@ -50,14 +50,14 @@ func TestEndToEndMinimisation(t *testing.T) {
 	if sg.ProvedOptimal && sg.Products != ex.Products {
 		t.Fatalf("SCG claimed optimality at %d; optimum is %d", sg.Products, ex.Products)
 	}
-	esp := MinimizeEspresso(f, EspressoNormal)
+	esp := MinimizeEspresso(f, EspressoNormal, Budget{})
 	if !Equivalent(f, esp.Cover) {
 		t.Fatal("espresso cover does not implement the function")
 	}
 	if esp.Products < ex.Products {
 		t.Fatalf("espresso %d below optimum %d", esp.Products, ex.Products)
 	}
-	str := MinimizeEspresso(f, EspressoStrong)
+	str := MinimizeEspresso(f, EspressoStrong, Budget{})
 	if str.Products > esp.Products {
 		t.Fatal("strong mode worse than normal")
 	}
@@ -116,7 +116,7 @@ func TestCoveringAPI(t *testing.T) {
 	if ex.Cost != 2 || !ex.Optimal {
 		t.Fatalf("exact: %+v", ex)
 	}
-	g, gerr := SolveGreedy(p)
+	g, _, gerr := SolveGreedy(p, Budget{})
 	if gerr != nil || !p.IsCover(g) {
 		t.Fatalf("greedy failed: %v", gerr)
 	}
