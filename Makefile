@@ -7,7 +7,7 @@ GO ?= go
 # interpretation).  The front-end benches live in ./internal/primes
 # (they need the unexported covering reference oracle) and get their
 # own pattern.
-SUBSTRATE_BENCH = BenchmarkZDDReductions$$|BenchmarkSubgradient$$|BenchmarkSCGCore$$|BenchmarkSCGPortfolio$$|BenchmarkReduceFixpoint$$|BenchmarkZDDGC$$|BenchmarkZDDChainNodes$$|BenchmarkSolveCached$$|BenchmarkBnBTransposition$$|BenchmarkDeltaResolve$$|BenchmarkShardedSolve$$
+SUBSTRATE_BENCH = BenchmarkZDDReductions$$|BenchmarkImplicitZDD$$|BenchmarkSubgradient$$|BenchmarkSCGCore$$|BenchmarkSCGPortfolio$$|BenchmarkReduceFixpoint$$|BenchmarkZDDGC$$|BenchmarkZDDChainNodes$$|BenchmarkSolveCached$$|BenchmarkBnBTransposition$$|BenchmarkDeltaResolve$$|BenchmarkShardedSolve$$
 FRONTEND_BENCH = BenchmarkPrimeGen$$|BenchmarkBuildCovering$$
 
 .PHONY: build test check bench-diff fuzz bench bench-all serve-smoke shard-smoke
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPrimesDense$$' -fuzztime $(FUZZTIME) ./internal/primes
 	$(GO) test -run '^$$' -fuzz '^FuzzZDDChain$$' -fuzztime $(FUZZTIME) ./internal/zdd
+	$(GO) test -run '^$$' -fuzz '^FuzzZDDFamily$$' -fuzztime $(FUZZTIME) ./internal/zdd
 
 # bench measures the hot substrates (5 repetitions each, plus the
 # portfolio and the sharded reduction fixpoint under -cpu 1,2,4,8) and

@@ -221,6 +221,40 @@ func BenchmarkZDDReductions(b *testing.B) {
 	}
 }
 
+// BenchmarkImplicitZDD measures the implicit phase on the ZDD engine:
+// the largest connected part (14 778 rows) of a 16-input random PLA's
+// covering, the largest part the pla-wide benchmark workload runs on
+// that engine.  It is far too large for the dense shortcut, which
+// claims BenchmarkZDDReductions' instance.  The phase runs with the solver's
+// default MaxR/MaxC, as in a Solve; peak/op is the manager's
+// high-water node count.
+func BenchmarkImplicitZDD(b *testing.B) {
+	b.ReportAllocs()
+	f := benchmarks.RandomPLA(15839, 16, 2, 100, 0.35, 0)
+	prs, _ := primes.GenerateAutoBudget(f.F, f.D, nil)
+	p, _, err := primes.BuildCovering(f.F, f.D, prs, primes.UnitCost)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var part *matrix.Problem
+	for _, c := range matrix.Components(p) {
+		if part == nil || len(c.Problem.Rows) > len(part.Rows) {
+			part = c.Problem
+		}
+	}
+	part, _ = part.CompactSparse()
+	var peak int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ir := scg.ImplicitReduceBudgetWorkers(part, 5000, 10000, 0, nil, 1)
+		if ir.Aborted || ir.Dense {
+			b.Fatalf("phase did not run to completion on the ZDD engine (aborted %v, dense %v)", ir.Aborted, ir.Dense)
+		}
+		peak = ir.ZDDNodes
+	}
+	b.ReportMetric(float64(peak), "peak/op")
+}
+
 // BenchmarkReduceFixpoint measures the explicit reduction engine on a
 // wide sparse instance (9000 active columns keeps it off the dense
 // path): a 3000-row cyclic covering plus 1000 superset rows, so the
@@ -642,16 +676,19 @@ func BenchmarkPrimesAndCovering(b *testing.B) {
 // observation that ZDDs suit the covering structures better than the
 // earlier BDD encoding (references [18] vs [22]): the same covering
 // matrix is loaded as a ZDD family of rows and, for comparison, each
-// instance's ON-set minterms are encoded as a characteristic BDD.
+// instance's ON-set minterms are encoded as a characteristic BDD.  The
+// ZDD side loads through the implicit phase's bulk build, which
+// strands no garbage, so nodes/op is the family's own size.
 func BenchmarkImplicitEncodingZDD(b *testing.B) {
 	b.ReportAllocs()
 	p := benchmarks.CyclicCovering(17, 400, 150, 3)
 	nodes := 0
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := zdd.New()
-		f := zdd.Empty
-		for _, r := range p.Rows {
-			f = m.Union(f, mustSet(m, r))
+		f, err := m.Family(p.Rows)
+		if err != nil {
+			b.Fatal(err)
 		}
 		if m.Count(f) == 0 {
 			b.Fatal("empty family")

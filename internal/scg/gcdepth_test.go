@@ -11,8 +11,8 @@ import (
 // cappedDepthInstance is a cyclic covering matrix padded with 100
 // superset rows, so the implicit phase has real row dominance to do:
 // its finished core (300 rows) is strictly smaller than the input
-// (400 rows).  The ZDD fixpoint strands ~15k nodes of dead
-// intermediates; the live family stays well under 10k.
+// (400 rows).  The uncapped ZDD fixpoint peaks at ~5k stored nodes,
+// while the live family stays under 500.
 func cappedDepthInstance(t *testing.T) *matrix.Problem {
 	t.Helper()
 	base := benchmarks.CyclicCovering(9, 300, 120, 3)
@@ -29,9 +29,12 @@ func cappedDepthInstance(t *testing.T) *matrix.Problem {
 	return p
 }
 
-// The node cap under test: far below the ~15k nodes the phase ever
-// allocates, comfortably above its live working set.
-const cappedDepthNodeCap = 10_000
+// The node cap under test, on the exam covering (plaCovering): below
+// the ~6.3k nodes its uncapped phase stores, above its live working
+// set.  The garbage it has to reclaim is the dead intermediates of the
+// reduction passes — the bulk load strands none.  The contract holds
+// for caps of about 2.0k–6.3k in the phase and 2.0k–5.5k through Solve.
+const cappedDepthNodeCap = 4_000
 
 // TestNodeCapGCReachesSmallerCore is the budget-depth contract of the
 // collector: under a node cap that the allocation history blows
@@ -40,7 +43,7 @@ const cappedDepthNodeCap = 10_000
 // the pre-GC engine (collections disabled) tripped the cap on dead
 // nodes and aborted to the explicit fallback with no core at all.
 func TestNodeCapGCReachesSmallerCore(t *testing.T) {
-	p := cappedDepthInstance(t)
+	p := plaCovering(t, "exam")
 
 	ir := ImplicitReduceBudgetWorkers(p, 1, 1, cappedDepthNodeCap, nil, 1)
 	if ir.Aborted {
@@ -74,7 +77,7 @@ func TestNodeCapGCReachesSmallerCore(t *testing.T) {
 // (no degradation), without them it falls back; both still return the
 // same final cover.
 func TestNodeCapGCSolveEndToEnd(t *testing.T) {
-	p := cappedDepthInstance(t)
+	p := plaCovering(t, "exam")
 	opt := Options{Seed: 3, Budget: budget.Budget{NodeCap: cappedDepthNodeCap}}
 
 	withGC := Solve(p, opt)

@@ -75,8 +75,9 @@ func validCols(p *matrix.Problem) bool {
 }
 
 // ImplicitReduceBudgetWorkers loads the covering matrix into a single
-// ZDD — one set of column ids per row — and iterates the implicit
-// reductions of the paper's ZDD_Reductions procedure:
+// ZDD — one set of column ids per row, built bottom-up in one pass
+// over the sorted rows (zdd.Manager.Family) — and iterates the
+// implicit reductions of the paper's ZDD_Reductions procedure:
 //
 //   - duplicate rows collapse for free (ZDD canonicity),
 //   - row dominance is the Minimal operation (keep inclusion-minimal
@@ -103,7 +104,9 @@ func validCols(p *matrix.Problem) bool {
 // mark-sweep collections (both proactively near the cap and in
 // response to a cap overrun, which is retried after the sweep), and
 // only when the live nodes themselves crowd the cap — or the retry
-// budget is spent — does the phase abort.
+// budget is spent — does the phase abort.  The load strands no
+// garbage, so a family that does not fit the cap aborts the phase at
+// the load, without a collection.
 //
 // workers shards the explicit dominance passes of the dense shortcut
 // (below) across up to that many goroutines; the ZDD engine itself is
@@ -143,7 +146,21 @@ func ImplicitReduceBudgetWorkers(p *matrix.Problem, maxR, maxC, nodeCap int, tr 
 	// after a collection (Collect rewrites the root in place).
 	m.AddRoot(&f)
 
-	// run executes one step of the phase, answering a node-cap panic
+	// try runs one step and reports whether it overran the node cap;
+	// any other panic propagates.
+	try := func(step func()) (overran bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if r != zdd.ErrNodeLimit {
+					panic(r)
+				}
+				overran = true
+			}
+		}()
+		step()
+		return false
+	}
+	// run executes one reduction step, answering a node-cap overrun
 	// with a mark-sweep collection and a retry.  Steps must be
 	// restartable: they may read only f (and immutable inputs) at entry
 	// and keep every intermediate Node local, so re-running one after a
@@ -153,22 +170,7 @@ func ImplicitReduceBudgetWorkers(p *matrix.Problem, maxR, maxC, nodeCap int, tr 
 	// spent.
 	retries := zddGCRetries
 	run := func(step func()) bool {
-		for {
-			panicked := func() (bad bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if r != zdd.ErrNodeLimit {
-							panic(r)
-						}
-						bad = true
-					}
-				}()
-				step()
-				return false
-			}()
-			if !panicked {
-				return true
-			}
+		for try(step) {
 			if !zddGC || retries <= 0 {
 				return false
 			}
@@ -180,6 +182,7 @@ func ImplicitReduceBudgetWorkers(p *matrix.Problem, maxR, maxC, nodeCap int, tr 
 				return false
 			}
 		}
+		return true
 	}
 	// finish harvests the manager's observability counters into the
 	// result; every exit path runs it so ucpsolve -v and ucpd /stats
@@ -194,24 +197,16 @@ func ImplicitReduceBudgetWorkers(p *matrix.Problem, maxR, maxC, nodeCap int, tr 
 		return res
 	}
 
-	// Load the rows.  The resume index makes the step restartable: a
-	// row whose Union overran the cap is redone from its Set.
+	// Load the rows in one bottom-up pass (zdd.Family).  The load
+	// starts from an empty store and strands no garbage, so at a cap
+	// overrun the store holds nothing but the load's own partial build:
+	// a retry after a collection would rebuild the same nodes and
+	// overrun again, and the phase aborts at once instead.  A negative
+	// column id (which matrix.New already rejects) also degrades to the
+	// explicit path, which reports the problem through its own
+	// validation.
 	var loadErr error
-	row := 0
-	if !run(func() {
-		for ; row < len(p.Rows); row++ {
-			set, err := m.Set(p.Rows[row])
-			if err != nil {
-				// Negative column ids cannot index the cost vector;
-				// such a matrix is invalid, which matrix.New already
-				// rejects.  Degrade to the explicit path, which
-				// reports the problem through its own validation.
-				loadErr = err
-				return
-			}
-			f = m.Union(f, set)
-		}
-	}) || loadErr != nil {
+	if try(func() { f, loadErr = m.Family(p.Rows) }) || loadErr != nil {
 		return abort()
 	}
 

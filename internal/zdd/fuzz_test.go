@@ -94,3 +94,54 @@ func FuzzZDDChain(f *testing.F) {
 		}
 	})
 }
+
+// FuzzZDDFamily checks the bulk build against its oracle: on both
+// engines, Family must return exactly the node the Union(Set(row))
+// fold returns in the same manager, and fail exactly where Set does,
+// with Set's error.  The byte stream decodes to rows of 0–6 elements
+// over a small universe, so it produces unsorted rows, repeated
+// elements, duplicate and empty rows, and (from the top byte values)
+// an occasional negative id.
+func FuzzZDDFamily(f *testing.F) {
+	f.Add([]byte{3, 5, 1, 3, 2, 7, 7, 0, 3, 1, 3, 5})
+	f.Add([]byte{4, 9, 8, 9, 1, 4, 1, 8, 9, 9, 2, 20, 21, 2, 20, 22, 1, 23})
+	f.Add([]byte{2, 4, 0xfe, 1, 6})
+	f.Add([]byte{0, 0, 1, 0, 6, 0, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		var rows [][]int
+		for pos := 0; pos < len(data); {
+			n := int(data[pos] % 7)
+			pos++
+			row := []int{}
+			for ; n > 0 && pos < len(data); n-- {
+				b := int(data[pos])
+				pos++
+				if b >= 0xfc {
+					row = append(row, 0xfb-b) // -1 … -4
+				} else {
+					row = append(row, b%24)
+				}
+			}
+			rows = append(rows, row)
+		}
+		for _, eng := range []struct {
+			name string
+			mk   func() *Manager
+		}{{"chain", New}, {"plain", NewPlain}} {
+			m := eng.mk()
+			got, gotErr := m.Family(rows)
+			want, wantErr := unionFold(m, rows)
+			if (gotErr == nil) != (wantErr == nil) ||
+				(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s: Family error %v, fold error %v", eng.name, gotErr, wantErr)
+			}
+			if gotErr == nil && got != want {
+				t.Fatalf("%s: Family node %d, fold node %d\nFamily %v\nfold   %v",
+					eng.name, got, want, familySets(m, got), familySets(m, want))
+			}
+		}
+	})
+}

@@ -124,12 +124,11 @@ type Manager struct {
 	nvals []uint64
 
 	// abuf is the chain-concatenation scratch of mk/mkChain (absorption
-	// builds the merged chain here before consing it).
+	// builds the merged chain here before consing it) and Set's
+	// normalised element list.
 	abuf []int32
 
-	// sbuf is Set's sort/dedup scratch: callers build one set per row
-	// of a covering matrix, so the per-call copy dominated Set's
-	// allocation profile before it was pooled here.
+	// sbuf is appendSet's sort scratch.
 	sbuf []int
 
 	// Visit stamps: one epoch counter plus a per-node stamp slice shared
@@ -438,35 +437,96 @@ func (m *Manager) topVar(f Node) int32 { return m.top[f] }
 // index ZDD variables, which are non-negative by construction).  In
 // chain mode the whole set is a single chain node.
 func (m *Manager) Set(elems []int) (Node, error) {
-	sorted := append(m.sbuf[:0], elems...)
-	m.sbuf = sorted
-	for i := 1; i < len(sorted); i++ { // insertion sort: inputs are short
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	if len(sorted) > 0 && sorted[0] < 0 {
-		return Empty, fmt.Errorf("zdd: negative element %d", sorted[0])
-	}
-	vars := m.abuf[:0]
-	for i, v := range sorted {
-		if i > 0 && v == sorted[i-1] {
-			continue
-		}
-		vars = append(vars, int32(v))
-	}
+	vars, err := m.appendSet(m.abuf[:0], elems)
 	m.abuf = vars
-	if len(vars) == 0 {
+	switch {
+	case err != nil:
+		return Empty, err
+	case len(vars) == 0:
 		return Base, nil
 	}
-	if !m.chain {
-		n := Base
-		for i := len(vars) - 1; i >= 0; i-- {
-			n = m.cons(vars[i], nil, Empty, n)
-		}
-		return n, nil
+	return m.mkChain(vars, Empty, Base), nil
+}
+
+// appendSet appends the elements of one set to dst in ascending order
+// without repeats, or reports the smallest element when it is
+// negative.  The sort runs in the manager's sbuf scratch: callers
+// normalise one set per row of a covering matrix, so a per-call copy
+// would dominate their allocation profile.
+func (m *Manager) appendSet(dst []int32, elems []int) ([]int32, error) {
+	sorted := append(m.sbuf[:0], elems...)
+	m.sbuf = sorted
+	slices.Sort(sorted)
+	if len(sorted) > 0 && sorted[0] < 0 {
+		return dst, fmt.Errorf("zdd: negative element %d", sorted[0])
 	}
-	return m.cons(vars[0], vars[1:], Empty, Base), nil
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			dst = append(dst, int32(v))
+		}
+	}
+	return dst, nil
+}
+
+// Family builds the family holding exactly the given sets, one per
+// row: the bulk form of folding Union over Set(row), and the same node
+// by canonicity.  Rows follow Set's rules (any order, duplicates
+// collapse, a negative element is an error and builds nothing).
+//
+// The rows are normalised into one flat buffer, sorted
+// lexicographically, and built bottom-up in a single pass.  Rows that
+// share a prefix are adjacent, so at depth d a sorted range splits
+// into its exhausted rows (the empty suffix, Base) and groups by the
+// element at d.  Each group's canonical chain is the group's longest
+// common prefix from d — the first and last row bound it — and its
+// hi-child is the group built past that prefix, which is never pure:
+// the prefix stopped because a row ended or two rows diverged.  So
+// every node is consed directly in canonical form, and the groups fold
+// from the largest element down as lo-children.  Unlike the Union
+// fold, the build strands no garbage: every node it allocates belongs
+// to the result.
+func (m *Manager) Family(rows [][]int) (Node, error) {
+	type span struct{ off, end int32 }
+	var buf []int32
+	spans := make([]span, 0, len(rows))
+	for _, r := range rows {
+		next, err := m.appendSet(buf, r)
+		if err != nil {
+			return Empty, err
+		}
+		spans = append(spans, span{int32(len(buf)), int32(len(next))})
+		buf = next
+	}
+	row := func(i int) []int32 { return buf[spans[i].off:spans[i].end] }
+	slices.SortFunc(spans, func(a, b span) int {
+		return slices.Compare(buf[a.off:a.end], buf[b.off:b.end])
+	})
+
+	// build returns the family of the suffixes from depth d of the
+	// sorted rows [lo, hi), which share their first d elements.
+	var build func(lo, hi, d int) Node
+	build = func(lo, hi, d int) Node {
+		acc := Empty
+		for lo < hi && len(row(lo)) == d {
+			acc, lo = Base, lo+1 // exhausted rows (duplicates included)
+		}
+		for hi > lo {
+			last := row(hi - 1)
+			g := hi - 1
+			for g > lo && row(g - 1)[d] == last[d] {
+				g--
+			}
+			first := row(g)
+			k := d + 1
+			for k < len(first) && k < len(last) && first[k] == last[k] {
+				k++
+			}
+			acc = m.mkChain(first[d:k], acc, build(g, hi, k))
+			hi = g
+		}
+		return acc
+	}
+	return build(0, len(spans), 0), nil
 }
 
 // Single returns the family {{v}}.
