@@ -231,52 +231,52 @@ func (s *Space) Distance(a, b Cube) int {
 	return d
 }
 
-// Consensus returns the consensus of a and b, or nil if their distance
-// is not exactly one.  When the conflicting part is an input variable
-// the consensus raises it to don't care in the intersection of the
-// remaining parts; when it is the output part the consensus takes the
-// union of the outputs with the intersection of the inputs.
-func (s *Space) Consensus(a, b Cube) Cube {
-	if s.Distance(a, b) != 1 {
-		return nil
-	}
-	c := s.And(a, b)
-	for w, x := range c {
-		if e := s.emptyParts(x, w); e != 0 {
-			c[w] = x | e | e<<1 // raise the conflicting part to DC
-			return c
-		}
-	}
-	// The conflict is in the output part: take the union there.
-	for w := range c {
-		c[w] = c[w]&s.inMask[w] | (a[w]|b[w])&s.outMask[w]
-	}
-	return c
-}
-
-// ConsensusOutput returns the consensus of a and b taken on the
-// output part: the intersection of the input parts with the union of
-// the output parts.  It is non-nil when the space has outputs and
-// every input part of the intersection is non-empty.  Unlike
-// Consensus it also applies at distance zero: with three or more
-// outputs the union of two *overlapping* output sets can be a strictly
-// larger implicant that no distance-one consensus produces, and the
-// iterated-consensus closure needs these cubes to reach every
-// multiple-output prime.
-func (s *Space) ConsensusOutput(a, b Cube) Cube {
-	if s.outputs == 0 {
-		return nil
-	}
+// ConsensusInto writes the consensus of a and b into dst, a cube of
+// this space, and reports whether the pair has one.  A pair yields at
+// most one candidate, in one of two forms:
+//
+//   - exactly one input part of a ∩ b is empty, and the output parts
+//     meet (or the space has no outputs): that part is raised to don't
+//     care in a ∩ b — the distance-one consensus on an input variable;
+//   - no input part of a ∩ b is empty and the space has outputs: the
+//     intersection of the input parts with the union of the output
+//     parts — the consensus on the output part.  It applies even when
+//     the outputs overlap (distance zero): with three or more outputs
+//     the union of two overlapping output sets can be a strictly
+//     larger implicant that no distance-one consensus produces, and
+//     the closure needs these cubes to reach every multiple-output
+//     prime.
+//
+// Otherwise there is no candidate and dst is left unspecified.  The
+// output-part form is empty when neither cube drives an output; check
+// IsEmpty where that matters.
+func (s *Space) ConsensusInto(dst, a, b Cube) bool {
+	conflict, raise := -1, uint64(0)
 	for w := range a {
-		if s.emptyParts(a[w]&b[w], w) != 0 {
-			return nil
+		if e := s.emptyParts(a[w]&b[w], w); e != 0 {
+			if conflict >= 0 || e&(e-1) != 0 {
+				return false // two or more conflicting input parts
+			}
+			conflict, raise = w, e|e<<1
 		}
 	}
-	c := make(Cube, s.words)
-	for w := range c {
-		c[w] = a[w]&b[w]&s.inMask[w] | (a[w]|b[w])&s.outMask[w]
+	if conflict >= 0 {
+		if s.outputs > 0 && !s.outputsMeet(a, b) {
+			return false
+		}
+		for w := range dst {
+			dst[w] = a[w] & b[w]
+		}
+		dst[conflict] |= raise
+		return true
 	}
-	return c
+	if s.outputs == 0 {
+		return false
+	}
+	for w := range dst {
+		dst[w] = a[w]&b[w]&s.inMask[w] | (a[w]|b[w])&s.outMask[w]
+	}
+	return true
 }
 
 // Cofactor returns the Shannon cofactor of c with respect to cube p

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -156,6 +157,75 @@ func TestContainsAndIntersect(t *testing.T) {
 	}
 }
 
+// wantConsensus is the per-variable reading of the two consensus forms
+// ConsensusInto fuses: the distance-one consensus (raise the single
+// conflicting input part of a ∩ b, or at an output-only conflict take
+// the input intersection with the output union) and the output-part
+// consensus (input intersection with output union whenever no input
+// part conflicts, in a space with outputs).  When both exist they must
+// be the same cube; the result is whichever exists, or nil.
+func wantConsensus(t *testing.T, s *Space, a, b Cube) Cube {
+	t.Helper()
+	empties, first := 0, -1
+	for i := 0; i < s.Inputs(); i++ {
+		if s.Input(a, i)&s.Input(b, i) == Empty {
+			if first < 0 {
+				first = i
+			}
+			empties++
+		}
+	}
+	meet := false
+	for o := 0; o < s.Outputs(); o++ {
+		meet = meet || (s.Output(a, o) && s.Output(b, o))
+	}
+	dist := empties
+	if s.Outputs() > 0 && !meet {
+		dist++
+	}
+	and := s.And(a, b)
+	withOuts := func(c Cube) Cube {
+		for o := 0; o < s.Outputs(); o++ {
+			s.SetOutput(c, o, s.Output(a, o) || s.Output(b, o))
+		}
+		return c
+	}
+	var cons, out Cube
+	switch {
+	case dist != 1:
+	case empties == 1:
+		cons = s.Copy(and)
+		s.SetInput(cons, first, DC)
+	default:
+		cons = withOuts(s.Copy(and))
+	}
+	if s.Outputs() > 0 && empties == 0 {
+		out = withOuts(s.Copy(and))
+	}
+	if cons != nil && out != nil && !s.Equal(cons, out) {
+		t.Fatalf("distance-one consensus %s differs from output consensus %s", s.String(cons), s.String(out))
+	}
+	if cons != nil {
+		return cons
+	}
+	return out
+}
+
+// requireConsensus checks ConsensusInto against wantConsensus, writing
+// into a buffer pre-filled with junk so every word must be overwritten.
+func requireConsensus(t *testing.T, s *Space, a, b Cube, label string) Cube {
+	t.Helper()
+	want := wantConsensus(t, s, a, b)
+	got := s.NewCube()
+	for w := range got {
+		got[w] = 0x5a5a5a5a5a5a5a5a
+	}
+	if ok := s.ConsensusInto(got, a, b); ok != (want != nil) || (ok && !s.Equal(got, want)) {
+		t.Fatalf("%s: ConsensusInto = %v %v, want %v", label, ok, got, want)
+	}
+	return want
+}
+
 func TestDistanceAndConsensus(t *testing.T) {
 	s := NewSpace(3, 0)
 	a, _ := s.ParseCube("10-", "")
@@ -163,16 +233,19 @@ func TestDistanceAndConsensus(t *testing.T) {
 	if d := s.Distance(a, b); d != 1 {
 		t.Fatalf("distance = %d, want 1", d)
 	}
-	c := s.Consensus(a, b)
+	c := requireConsensus(t, s, a, b, "input consensus")
 	if c == nil {
-		t.Fatal("consensus nil at distance 1")
+		t.Fatal("no consensus at distance 1")
 	}
 	if got := s.String(c); got != "1--" {
 		t.Fatalf("consensus = %q, want 1--", got)
 	}
 	e, _ := s.ParseCube("01-", "")
-	if s.Consensus(a, e) != nil {
-		t.Fatal("consensus at distance 2 should be nil")
+	if requireConsensus(t, s, a, e, "distance 2") != nil {
+		t.Fatal("consensus at distance 2 should not exist")
+	}
+	if requireConsensus(t, s, a, a, "no outputs, distance 0") != nil {
+		t.Fatal("an output-free space has no consensus at distance 0")
 	}
 	// Output-part consensus: same inputs, disjoint outputs.
 	so := NewSpace(2, 2)
@@ -181,16 +254,31 @@ func TestDistanceAndConsensus(t *testing.T) {
 	if so.Distance(p, q) != 1 {
 		t.Fatal("output distance wrong")
 	}
-	r := so.Consensus(p, q)
+	r := requireConsensus(t, so, p, q, "output consensus")
 	if r == nil || !so.Output(r, 0) || !so.Output(r, 1) {
 		t.Fatal("output consensus should union outputs")
+	}
+	// An input conflict with disjoint outputs is distance two.
+	x, _ := so.ParseCube("0-", "01")
+	if requireConsensus(t, so, p, x, "input and output conflict") != nil {
+		t.Fatal("consensus at distance 2 should not exist")
+	}
+	// Overlapping outputs at distance zero: the output part is unioned.
+	s3 := NewSpace(2, 3)
+	u, _ := s3.ParseCube("1-", "110")
+	v, _ := s3.ParseCube("-1", "011")
+	if s3.Distance(u, v) != 0 {
+		t.Fatal("overlapping cubes should be at distance 0")
+	}
+	if got := requireConsensus(t, s3, u, v, "overlapping outputs"); got == nil || s3.String(got) != "11 111" {
+		t.Fatalf("overlapping-output consensus = %v, want 11 111", got)
 	}
 }
 
 // TestPartOpsMatchPerVariable holds the word-parallel part tests
-// (IsEmpty, Intersects, Distance, Consensus, ConsensusOutput) to a
-// per-variable reading of the cubes, on spaces wide enough to span
-// several words and on cubes with empty parts.
+// (IsEmpty, Intersects, Distance, ConsensusInto) to a per-variable
+// reading of the cubes, on spaces wide enough to span several words
+// and on cubes with empty parts.
 func TestPartOpsMatchPerVariable(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	lits := []Literal{Empty, Zero, One, DC, DC, Zero, One}
@@ -215,12 +303,9 @@ func TestPartOpsMatchPerVariable(t *testing.T) {
 			copy(b, a)
 			s.SetInput(b, rng.Intn(s.Inputs()), lits[rng.Intn(4)])
 		}
-		empties, first := 0, -1
+		empties := 0
 		for i := 0; i < s.Inputs(); i++ {
 			if s.Input(a, i)&s.Input(b, i) == Empty {
-				if first < 0 {
-					first = i
-				}
 				empties++
 			}
 		}
@@ -248,32 +333,7 @@ func TestPartOpsMatchPerVariable(t *testing.T) {
 		if s.IsEmpty(a) != aEmpty {
 			t.Fatalf("trial %d: IsEmpty = %v, want %v", trial, s.IsEmpty(a), aEmpty)
 		}
-		and := s.And(a, b)
-		withOuts := func(c Cube) Cube {
-			for o := 0; o < s.Outputs(); o++ {
-				s.SetOutput(c, o, s.Output(a, o) || s.Output(b, o))
-			}
-			return c
-		}
-		var want Cube
-		switch {
-		case dist != 1:
-		case empties == 1:
-			want = s.Copy(and)
-			s.SetInput(want, first, DC)
-		default:
-			want = withOuts(s.Copy(and))
-		}
-		if got := s.Consensus(a, b); (got == nil) != (want == nil) || (got != nil && !s.Equal(got, want)) {
-			t.Fatalf("trial %d: Consensus = %v, want %v", trial, got, want)
-		}
-		want = nil
-		if s.Outputs() > 0 && empties == 0 {
-			want = withOuts(s.Copy(and))
-		}
-		if got := s.ConsensusOutput(a, b); (got == nil) != (want == nil) || (got != nil && !s.Equal(got, want)) {
-			t.Fatalf("trial %d: ConsensusOutput = %v, want %v", trial, got, want)
-		}
+		requireConsensus(t, s, a, b, fmt.Sprintf("trial %d", trial))
 	}
 }
 

@@ -10,13 +10,15 @@ import (
 // The prime-generation substrate benches compare the two front ends on
 // a 16-input 2-output instance dense enough (100 cubes, half the
 // literals don't-care) that the iterated-consensus work set grows into
-// the thousands.  The dense sweep's cost is fixed by the care set, so
-// the ratio here (>=5x expected) is the point of the bit-slice engine;
-// on wide sparse instances consensus wins instead.  The auto variants
-// time GenerateAutoBudget, which runs consensus under a cap of the
-// sweep's estimated word-op count and falls back to the sweep only
-// when the cap trips: on rand16 the cap trips (auto pays the capped
-// pass on top of the sweep), on rand20 consensus finishes under it.
+// the thousands.  The dense sweep's cost is fixed by the care set; the
+// semi-naive closure's follows the pairs it has not tried yet and the
+// containment scans their candidates need, so here the sweep still
+// wins (~3x), while on wide sparse instances consensus wins instead.
+// The auto variants time GenerateAutoBudget, which runs consensus
+// under a cap of the sweep's estimated word-op count and falls back to
+// the sweep only when the cap trips: on rand16 the cap trips (auto
+// pays the capped pass on top of the sweep), on rand20 consensus
+// finishes under it.
 func BenchmarkPrimeGen(b *testing.B) {
 	f := benchmarks.RandomPLA(11, 16, 2, 100, 0.5, 2)
 	b.Run("dense", func(b *testing.B) {
@@ -49,7 +51,7 @@ func BenchmarkPrimeGen(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildCovering compares the streaming bitset construction
+// BenchmarkBuildCovering compares the per-prime covering scatter
 // against the map-based reference oracle on a 20-input 3-output
 // instance (158 primes, ~25k covering rows).
 func BenchmarkBuildCovering(b *testing.B) {

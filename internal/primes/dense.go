@@ -284,7 +284,7 @@ func denseFallback(f, d *cube.Cover) *cube.Cover {
 			work.Add(s.Copy(c))
 		}
 	}
-	work, _ = dedupSig(s, work, nil, nil)
+	work, _, _ = dedupSig(s, work, nil, 0, nil)
 	work.Sort()
 	return work
 }

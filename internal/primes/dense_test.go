@@ -410,15 +410,17 @@ func TestDenseChunkCapOverflow(t *testing.T) {
 // FuzzPrimesDense is the differential acceptance gate: on arbitrary
 // random functions the dense sweep, iterated consensus and the
 // work-capped dispatcher must produce identical canonical prime sets
-// and bit-identical covering problems.
+// and bit-identical covering problems.  Up to 12 inputs, so outputs
+// span up to 64 need words and primes up to 6 high don't-care bits:
+// the covering scatter meets both of its word walks.
 func FuzzPrimesDense(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(2), uint8(4))
 	f.Add(uint64(42), uint8(8), uint8(1), uint8(6))
 	f.Add(uint64(7), uint8(9), uint8(3), uint8(5))
 	f.Add(uint64(99), uint8(1), uint8(0), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, nIn, nOut, nCubes uint8) {
-		n := 1 + int(nIn)%9 // 1..9 inputs
-		m := int(nOut) % 4  // 0..3 outputs
+		n := 1 + int(nIn)%12 // 1..12 inputs
+		m := int(nOut) % 4   // 0..3 outputs
 		k := 1 + int(nCubes)%7
 		rng := rand.New(rand.NewSource(int64(seed)))
 		s := cube.NewSpace(n, m)

@@ -25,14 +25,23 @@ func sigOf(c cube.Cube) uint64 {
 	return sig
 }
 
-// dedupSig is Cover.Dedup with the signature short-circuit: identical
-// keep/drop decisions (the signature only skips pairs whose
-// containment test must fail), returned together with the kept cubes'
-// signatures so callers can reuse them.  A non-nil meter is charged one
-// unit per pair a cube's scan may probe; when it stops the pass, the
-// cubes not yet examined are all kept, so the result is still a
-// superset of the deduplicated cover.
-func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64, w *workMeter) (*cube.Cover, []uint64) {
+// dedupSig is Cover.Dedup (drop every cube another cube contains; of
+// equal cubes keep the first) for a cover whose first old cubes are
+// the closure's previous work set and whose later cubes are new.  It
+// relies on the closure's invariant: the old cubes are mutually
+// irredundant, and no new cube lies inside an old one (each passed
+// containedIn against all of them).  So only two kinds of pair can
+// drop a cube — an old cube inside a new one, and a new cube inside
+// another new one — and every cube is checked against the new cubes
+// alone; old = 0 makes it a full Dedup.  A signature short-circuit
+// skips pairs whose containment test must fail.  It returns the kept
+// cubes in their original order, their signatures (sigs, when non-nil,
+// are f's and are reused) and how many old cubes survived: the kept
+// old cubes come first.  A non-nil meter is charged one unit per pair
+// a cube's scan may probe; when it stops the pass, the cubes not yet
+// examined are all kept, so the result is still a superset of the
+// deduplicated cover.
+func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64, old int, w *workMeter) (*cube.Cover, []uint64, int) {
 	if sigs == nil {
 		sigs = make([]uint64, len(f.Cubes))
 		for i, c := range f.Cubes {
@@ -43,15 +52,14 @@ func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64, w *workMeter) (*cube.
 	for i := range f.Cubes {
 		kept[i] = true
 	}
+	newSigs := sigs[old:]
 	for i, a := range f.Cubes {
-		if !kept[i] {
-			continue
-		}
-		if w.charge(uint64(len(f.Cubes))) {
+		if w.charge(uint64(len(newSigs))) {
 			break
 		}
 		sa := sigs[i]
-		for j, sb := range sigs {
+		for k, sb := range newSigs {
+			j := old + k
 			if sa&^sb != 0 || i == j || !kept[j] {
 				continue
 			}
@@ -63,13 +71,17 @@ func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64, w *workMeter) (*cube.
 	}
 	g := cube.NewCover(s)
 	outSigs := sigs[:0]
+	survivors := 0
 	for i, a := range f.Cubes {
 		if kept[i] {
 			g.Add(a)
 			outSigs = append(outSigs, sigs[i])
+			if i < old {
+				survivors++
+			}
 		}
 	}
-	return g, outSigs
+	return g, outSigs, survivors
 }
 
 // workPollEvery is how many work units pass between two tracker polls
@@ -146,7 +158,7 @@ func containedIn(s *cube.Space, c cube.Cube, csig uint64, cs []cube.Cube, sigs [
 // contained cubes removed until closure; the surviving cubes are
 // exactly the primes (Quine's theorem, extended to multiple outputs by
 // treating the output part as one multi-valued variable, for which the
-// consensus is taken even at distance zero — see ConsensusOutput).
+// consensus is taken even at distance zero — see cube.ConsensusInto).
 func Generate(f, d *cube.Cover) *cube.Cover {
 	out, _ := GenerateBudget(f, d, nil)
 	return out
@@ -171,6 +183,17 @@ func GenerateBudget(f, d *cube.Cover, tr *budget.Tracker) (out *cube.Cover, comp
 // whether it trips is a deterministic function of the input.  A
 // tracker interruption returns the partial cover as GenerateBudget
 // does.
+//
+// The closure is semi-naive: a sweep tries only the pairs i < j with
+// j ≥ fresh, the index of the first cube the previous sweep admitted
+// (0 on the first sweep).  A pair of two older cubes was tried in an
+// earlier sweep, and its candidate was admitted or found inside a work
+// cube; dedupSig drops a cube only when a surviving cube contains it,
+// so that candidate is still covered.  Each pair yields at most one
+// candidate, written into one reused buffer and copied only when
+// admitted.  Admitted cubes are appended to the work set, after the
+// sweep's n old cubes, so one containment scan covers both; the work
+// set after each sweep is the one the all-pairs closure builds.
 func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *cube.Cover, complete, capped bool) {
 	s := f.S
 	w := &workMeter{tr: tr, cap: cap}
@@ -183,9 +206,8 @@ func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *c
 			work.Add(s.Copy(c))
 		}
 	}
-	var sigs []uint64
-	work, sigs = dedupSig(s, work, nil, w)
-
+	work, sigs, fresh := dedupSig(s, work, nil, 0, w)
+	cand := s.NewCube()
 	for {
 		if w.capped {
 			return nil, false, true
@@ -194,56 +216,37 @@ func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *c
 			work.Sort()
 			return work, false, false
 		}
-		var pending []cube.Cube
-		var psigs []uint64
+		n := len(work.Cubes)
 	sweep:
-		for i := 0; i < len(work.Cubes); i++ {
-			for j := i + 1; j < len(work.Cubes); j++ {
-				// Two candidates per pair: the distance-one consensus
-				// and the output-part consensus, which with three or
-				// more outputs is productive even at distance zero
-				// (overlapping output sets whose union is a strictly
-				// larger implicant) — without it the closure misses
-				// multiple-output primes.
-				cand := s.Consensus(work.Cubes[i], work.Cubes[j])
-				candOut := s.ConsensusOutput(work.Cubes[i], work.Cubes[j])
+		for i := 0; i < n; i++ {
+			for j := max(i+1, fresh); j < n; j++ {
 				units := uint64(1)
-				for _, cons := range [2]cube.Cube{cand, candOut} {
-					if cons == nil || s.IsEmpty(cons) {
-						continue
-					}
-					csig := sigOf(cons)
-					contained, probes := containedIn(s, cons, csig, work.Cubes, sigs)
+				if s.ConsensusInto(cand, work.Cubes[i], work.Cubes[j]) && !s.IsEmpty(cand) {
+					csig := sigOf(cand)
+					contained, probes := containedIn(s, cand, csig, work.Cubes, sigs)
 					units += probes
 					if !contained {
-						contained, probes = containedIn(s, cons, csig, pending, psigs)
-						units += probes
-					}
-					if !contained {
-						pending = append(pending, cons)
-						psigs = append(psigs, csig)
+						work.Cubes = append(work.Cubes, s.Copy(cand))
+						sigs = append(sigs, csig)
 					}
 				}
 				if w.charge(units) {
-					break sweep // an interrupted sweep still merges its pending cubes
+					break sweep // an interrupted sweep still merges its admitted cubes
 				}
 			}
 		}
 		if w.capped {
 			return nil, false, true
 		}
-		if len(pending) == 0 {
+		if len(work.Cubes) == n {
 			if w.interrupt {
 				break // the sweep was cut short: closure not proven
 			}
 			work.Sort()
 			return work, true, false
 		}
-		work.Cubes = append(work.Cubes, pending...)
-		sigs = append(sigs, psigs...)
-		// Drop cubes swallowed by the new ones (Dedup semantics, with
-		// the signature prune).
-		work, sigs = dedupSig(s, work, sigs, w)
+		// Drop cubes swallowed by the new ones.
+		work, sigs, fresh = dedupSig(s, work, sigs, n, w)
 	}
 	work.Sort()
 	return work, false, false

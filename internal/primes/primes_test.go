@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ucp/internal/benchmarks"
 	"ucp/internal/bnb"
 	"ucp/internal/cube"
 	"ucp/internal/matrix"
@@ -343,4 +344,17 @@ func TestEmptyFunction(t *testing.T) {
 		}
 		_ = matrix.ReduceBudgetWorkers(prob, nil, 1)
 	})
+}
+
+// TestConsensusWorkSemiNaive pins the semi-naive closure's saving on
+// the deterministic work meter.  The hardest pla-wide function,
+// RandomPLA(15839, 16, 2, 100, 0.35, 0), closes in about 7.1 M units
+// (pairs tried plus containment probes); retrying every pair in every
+// sweep, with two candidates per pair, charged 18 200 868.
+func TestConsensusWorkSemiNaive(t *testing.T) {
+	p := benchmarks.RandomPLA(15839, 16, 2, 100, 0.35, 0)
+	out, complete, capped := generateConsensus(p.F, p.DontCares(), nil, 10_000_000)
+	if capped || !complete || out == nil {
+		t.Fatalf("closure under a 10 000 000-unit cap: complete=%v capped=%v", complete, capped)
+	}
 }
