@@ -194,13 +194,15 @@ func BenchmarkAblationSolverWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationImplicit compares ZDD-implicit against purely
-// explicit reductions inside ZDD_SCG.
+// BenchmarkAblationImplicit compares the ZDD implicit phase plus the
+// explicit fixpoint against the explicit fixpoint alone, on the same
+// coverings.
 func BenchmarkAblationImplicit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, r := range harness.AblationImplicit() {
 			b.ReportMetric(r.Time.Seconds(), r.Label+"-sec/op")
+			b.ReportMetric(float64(r.CoreRows), r.Label+"-corerows/op")
 		}
 	}
 }
@@ -223,10 +225,10 @@ func BenchmarkZDDReductions(b *testing.B) {
 
 // BenchmarkImplicitZDD measures the implicit phase on the ZDD engine:
 // the largest connected part (14 778 rows) of a 16-input random PLA's
-// covering, the largest part the pla-wide benchmark workload runs on
-// that engine.  It is far too large for the dense shortcut, which
-// claims BenchmarkZDDReductions' instance.  The phase runs with the solver's
-// default MaxR/MaxC, as in a Solve; peak/op is the manager's
+// covering, the largest part of the pla-wide benchmark workload.  It is
+// far too large for the dense shortcut, which claims
+// BenchmarkZDDReductions' instance.  The phase runs at the paper's
+// 5000-row, 10000-column early exit; peak/op is the manager's
 // high-water node count.
 func BenchmarkImplicitZDD(b *testing.B) {
 	b.ReportAllocs()
@@ -321,7 +323,7 @@ func BenchmarkZDDGC(b *testing.B) {
 // BenchmarkZDDChainNodes measures the chain representation's
 // nodes-per-instance win on a paper covering family: load the max1024
 // covering rows, reduce to minimal rows, collect, and profile the
-// surviving family.  chainlive/op is what the NodeCap budget meters;
+// surviving family.  chainlive/op is what the phase's node cap meters;
 // plain/op is what a chain-free ZDD would store for the same family;
 // ratio/op is the compression factor (the implicit-ceiling headroom).
 func BenchmarkZDDChainNodes(b *testing.B) {

@@ -91,32 +91,6 @@ func TestSCGIterCapBoundStaysValid(t *testing.T) {
 	}
 }
 
-func TestZDDNodeCapFallsBackToExplicit(t *testing.T) {
-	p := benchmarks.CyclicCovering(5, 120, 60, 3)
-	capped := SolveSCG(p, SCGOptions{Seed: 9, Budget: Budget{NodeCap: 16}})
-	explicit := SolveSCG(p, SCGOptions{Seed: 9, DisableImplicit: true})
-	if !capped.Stats.ImplicitAborted {
-		t.Fatal("a 16-node cap should abort the implicit phase")
-	}
-	if capped.Interrupted {
-		t.Fatal("node-cap exhaustion is graceful degradation, not an interruption")
-	}
-	if capped.Cost != explicit.Cost {
-		t.Fatalf("node-cap fallback cost %d differs from DisableImplicit cost %d",
-			capped.Cost, explicit.Cost)
-	}
-	if len(capped.Solution) != len(explicit.Solution) {
-		t.Fatalf("fallback solution %v differs from DisableImplicit solution %v",
-			capped.Solution, explicit.Solution)
-	}
-	for i := range capped.Solution {
-		if capped.Solution[i] != explicit.Solution[i] {
-			t.Fatalf("fallback solution %v differs from DisableImplicit solution %v",
-				capped.Solution, explicit.Solution)
-		}
-	}
-}
-
 func TestExactCancelledReturnsBestSoFar(t *testing.T) {
 	p := slowProblem()
 	res := SolveExact(p, ExactOptions{Budget: Budget{Context: cancelledCtx()}})

@@ -168,24 +168,6 @@ func (s *session) report(hits, misses, ttHits int64) {
 		cs.Entries, cs.Hits, cs.Misses, cs.Dedups, cs.Stores, cs.Evictions)
 }
 
-// reportZDD prints the implicit phase's ZDD engine profile under -v:
-// the peak node store the NodeCap budget meters, the live/plain node
-// profile of the surviving family and its chain-compression ratio, and
-// the mark-sweep collections the phase ran.  Solves that never touched
-// the ZDD (dense shortcut, explicit-only paths) report peak 0 and
-// print nothing.
-func (s *session) reportZDD(peak, live, plain, collections int) {
-	if !s.verbose || peak == 0 {
-		return
-	}
-	ratio := 1.0
-	if live > 0 {
-		ratio = float64(plain) / float64(live)
-	}
-	fmt.Printf("zdd: peak %d nodes, live %d (plain-equivalent %d, chain ratio %.2fx), %d collections\n",
-		peak, live, plain, ratio, collections)
-}
-
 // reportShard prints the out-of-core driver's scheduling profile under
 // -v.  Direct (unsharded) solves report zero components and print
 // nothing; sharded solves always report at least one.
@@ -248,7 +230,6 @@ func runPLA(sess *session, path, solver, out string, seed int64, numIter, worker
 	fmt.Printf("\nprimes: %d   covering rows: %d   cyclic core: %dx%d\n",
 		res.Primes, res.Rows, res.CoreRows, res.CoreCols)
 	fmt.Printf("time: %v (cyclic core %v)\n", res.TotalTime.Round(time.Millisecond), res.CyclicCoreTime.Round(time.Millisecond))
-	sess.reportZDD(res.ZDDNodes, res.ZDDLiveNodes, res.ZDDPlainNodes, res.ZDDCollections)
 	sess.reportShard(res.ShardComponents, res.ShardSpilled, res.ShardRespilled, res.ShardDegraded, res.ShardPeakBytes)
 	sess.report(res.CacheHits, res.CacheMisses, res.TTHits)
 	if out != "" {
@@ -331,7 +312,6 @@ func runMatrix(sess *session, path, deltaPath string, orlib bool, solver string,
 		fmt.Printf("scg: cost %d%s, LB %.3f, columns %v\n", res.Cost, opt, res.LB, res.Solution)
 		fmt.Printf("core %dx%d, %d fixing steps, %v\n",
 			res.Stats.CoreRows, res.Stats.CoreCols, res.Stats.FixSteps, res.Stats.TotalTime.Round(time.Millisecond))
-		sess.reportZDD(res.Stats.ZDDNodes, res.Stats.ZDDLiveNodes, res.Stats.ZDDPlainNodes, res.Stats.ZDDCollections)
 		sess.report(res.Stats.CacheHits, res.Stats.CacheMisses, 0)
 	case "exact":
 		res := sess.SolveExact(p, ucp.ExactOptions{MaxNodes: maxNodes, Budget: bud})
@@ -391,7 +371,6 @@ func runStream(sess *session, path string, orlib bool, opt ucp.SCGOptions) {
 	fmt.Printf("scg: cost %d%s, LB %.3f, columns %v\n", res.Cost, optS, res.LB, res.Solution)
 	fmt.Printf("core %dx%d, %d fixing steps, %v\n",
 		res.Stats.CoreRows, res.Stats.CoreCols, res.Stats.FixSteps, res.Stats.TotalTime.Round(time.Millisecond))
-	sess.reportZDD(res.Stats.ZDDNodes, res.Stats.ZDDLiveNodes, res.Stats.ZDDPlainNodes, res.Stats.ZDDCollections)
 	sess.reportShard(res.Stats.ShardComponents, res.Stats.ShardSpilled,
 		res.Stats.ShardRespilled, res.Stats.ShardDegraded, res.Stats.ShardPeakBytes)
 }

@@ -40,8 +40,8 @@ func main() {
 	fmt.Printf("input: %d products over %d inputs, %d outputs\n\n",
 		f.F.Len(), f.Space.Inputs(), f.Space.Outputs())
 
-	// The paper's pipeline: primes → covering matrix → implicit and
-	// explicit reductions → lagrangian heuristic.
+	// The paper's pipeline: primes → covering matrix → reductions →
+	// lagrangian heuristic.
 	sg, err := ucp.MinimizeSCG(f, ucp.SCGOptions{})
 	if err != nil {
 		log.Fatal(err)

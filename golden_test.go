@@ -80,9 +80,9 @@ func pinLine(r *SCGResult) string {
 		sol = fmt.Sprint(r.Solution)
 	}
 	s := r.Stats
-	return fmt.Sprintf("sol=%s cost=%d lb=%#016x opt=%t core=%dx%d fix=%d runs=%d iters=%d dense=%t",
+	return fmt.Sprintf("sol=%s cost=%d lb=%#016x opt=%t core=%dx%d fix=%d runs=%d iters=%d",
 		sol, r.Cost, math.Float64bits(r.LB), r.ProvedOptimal,
-		s.CoreRows, s.CoreCols, s.FixSteps, s.Runs, s.SubgradIters, s.ImplicitDense)
+		s.CoreRows, s.CoreCols, s.FixSteps, s.Runs, s.SubgradIters)
 }
 
 // pinned holds the recorded outputs per instance: "solve" for SolveSCG
@@ -91,56 +91,62 @@ func pinLine(r *SCGResult) string {
 // chain resolved from the kept state.
 var pinned = map[string]map[string]string{
 	"cyclic": {
-		"solve":    "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bebdbed6819a8 opt=false core=60x40 fix=8 runs=4 iters=2505 dense=true",
-		"keep":     "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bebdbed6819a8 opt=false core=60x40 fix=8 runs=4 iters=2505 dense=false",
-		"resolve1": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bebdbed6819a8 opt=false core=60x40 fix=8 runs=4 iters=2505 dense=false",
-		"resolve2": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bf4652a44efed opt=false core=60x41 fix=8 runs=4 iters=2997 dense=false",
-		"resolve3": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402b7db06208aef6 opt=false core=59x40 fix=11 runs=4 iters=4687 dense=false",
+		"solve":    "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bebdbed6819a8 opt=false core=60x40 fix=8 runs=4 iters=2505",
+		"keep":     "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bebdbed6819a8 opt=false core=60x40 fix=8 runs=4 iters=2505",
+		"resolve1": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bebdbed6819a8 opt=false core=60x40 fix=8 runs=4 iters=2505",
+		"resolve2": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402bf4652a44efed opt=false core=60x41 fix=8 runs=4 iters=2997",
+		"resolve3": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44] cost=15 lb=0x402b7db06208aef6 opt=false core=59x40 fix=11 runs=4 iters=4687",
 	},
 	"two-part": {
-		"solve":    "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bb97dd5c2e7f0 opt=false core=114x79 fix=16 runs=8 iters=4966 dense=true",
-		"keep":     "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bb97dd5c2e7f0 opt=false core=114x79 fix=16 runs=8 iters=4945 dense=false",
-		"resolve1": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bb97dd5c2e7f0 opt=false core=114x79 fix=16 runs=8 iters=4945 dense=false",
-		"resolve2": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bbdc274315312 opt=false core=114x80 fix=16 runs=8 iters=5437 dense=false",
-		"resolve3": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403b826810133296 opt=false core=113x79 fix=19 runs=8 iters=7127 dense=false",
+		"solve":    "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bb97dd5c2e7f0 opt=false core=114x79 fix=16 runs=8 iters=4966",
+		"keep":     "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bb97dd5c2e7f0 opt=false core=114x79 fix=16 runs=8 iters=4945",
+		"resolve1": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bb97dd5c2e7f0 opt=false core=114x79 fix=16 runs=8 iters=4945",
+		"resolve2": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403bbdc274315312 opt=false core=114x80 fix=16 runs=8 iters=5437",
+		"resolve3": "sol=[4 6 10 15 17 19 21 22 30 32 34 38 41 42 44 49 51 53 54 59 65 69 71 74 76 77 78 82 84 86] cost=30 lb=0x403b826810133296 opt=false core=113x79 fix=19 runs=8 iters=7127",
 	},
 	"figure1": {
-		"solve":    "sol=[0 1 2] cost=3 lb=0x400135e21831c340 opt=true core=4x5 fix=0 runs=0 iters=17 dense=true",
-		"keep":     "sol=[0 1 2] cost=3 lb=0x400135e21831c340 opt=true core=4x5 fix=0 runs=0 iters=17 dense=false",
-		"resolve1": "sol=[0 1 2] cost=3 lb=0x400135e21831c340 opt=true core=4x5 fix=0 runs=0 iters=17 dense=false",
-		"resolve2": "sol=[2 5] cost=2 lb=0x4000000000000000 opt=true core=5x6 fix=0 runs=0 iters=1 dense=false",
-		"resolve3": "sol=[1 2] cost=2 lb=0x4000000000000000 opt=true core=3x3 fix=0 runs=0 iters=1 dense=false",
+		"solve":    "sol=[0 1 2] cost=3 lb=0x400135e21831c340 opt=true core=4x5 fix=0 runs=0 iters=17",
+		"keep":     "sol=[0 1 2] cost=3 lb=0x400135e21831c340 opt=true core=4x5 fix=0 runs=0 iters=17",
+		"resolve1": "sol=[0 1 2] cost=3 lb=0x400135e21831c340 opt=true core=4x5 fix=0 runs=0 iters=17",
+		"resolve2": "sol=[2 5] cost=2 lb=0x4000000000000000 opt=true core=5x6 fix=0 runs=0 iters=1",
+		"resolve3": "sol=[1 2] cost=2 lb=0x4000000000000000 opt=true core=3x3 fix=0 runs=0 iters=1",
 	},
 	"infeasible": {
-		"solve":    "sol=nil cost=0 lb=0x0000000000000000 opt=false core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"keep":     "sol=nil cost=0 lb=0x0000000000000000 opt=false core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve1": "sol=nil cost=0 lb=0x0000000000000000 opt=false core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve2": "sol=[0 3] cost=2 lb=0x4000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve3": "sol=[0 3] cost=2 lb=0x4000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
+		"solve":    "sol=nil cost=0 lb=0x0000000000000000 opt=false core=0x0 fix=0 runs=0 iters=0",
+		"keep":     "sol=nil cost=0 lb=0x0000000000000000 opt=false core=0x0 fix=0 runs=0 iters=0",
+		"resolve1": "sol=nil cost=0 lb=0x0000000000000000 opt=false core=0x0 fix=0 runs=0 iters=0",
+		"resolve2": "sol=[0 3] cost=2 lb=0x4000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"resolve3": "sol=[0 3] cost=2 lb=0x4000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
 	},
 	"empty": {
-		"solve":    "sol=[] cost=0 lb=0x0000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"keep":     "sol=[] cost=0 lb=0x0000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve1": "sol=[0] cost=1 lb=0x3ff0000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve2": "sol=[0] cost=1 lb=0x3ff0000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve3": "sol=[0] cost=1 lb=0x3ff0000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
+		"solve":    "sol=[] cost=0 lb=0x0000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"keep":     "sol=[] cost=0 lb=0x0000000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"resolve1": "sol=[0] cost=1 lb=0x3ff0000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"resolve2": "sol=[0] cost=1 lb=0x3ff0000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"resolve3": "sol=[0] cost=1 lb=0x3ff0000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
 	},
 	"reduced": {
-		"solve":    "sol=[0 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=true",
-		"keep":     "sol=[0 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve1": "sol=[0 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve2": "sol=[2 5 6] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
-		"resolve3": "sol=[1 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0 dense=false",
+		"solve":    "sol=[0 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"keep":     "sol=[0 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"resolve1": "sol=[0 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"resolve2": "sol=[2 5 6] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
+		"resolve3": "sol=[1 2 5] cost=3 lb=0x4008000000000000 opt=true core=0x0 fix=0 runs=0 iters=0",
 	},
 }
 
 // TestPinnedOutputs pins the exact outputs of every solve path on
 // fixed instances.  The differential suites compare paths pairwise, so
 // a change that shifts both sides at once passes them; this table does
-// not move unless a change alters a result on purpose.
+// not move unless a change alters a result on purpose.  Direct and kept
+// solves run one pipeline, so on every connected pin (all but
+// two-part, which a kept solve does not split) the recorded solve and
+// keep lines are the same.
 func TestPinnedOutputs(t *testing.T) {
 	for name, p := range pinInstances(t) {
 		want := pinned[name]
+		if name != "two-part" && want["solve"] != want["keep"] {
+			t.Errorf("%s: pinned solve line %q differs from keep line %q", name, want["solve"], want["keep"])
+		}
 		check := func(run, key string, res *SCGResult) {
 			t.Helper()
 			if got := pinLine(res); got != want[key] {

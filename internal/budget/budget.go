@@ -1,7 +1,7 @@
 // Package budget bounds the work a solver may do.  The paper sells
-// ZDD_SCG on predictable runtime, but subgradient ascent, implicit ZDD
-// reduction and branch and bound can all run (or allocate) unboundedly
-// on adversarial instances.  A Budget caps each of those resources;
+// ZDD_SCG on predictable runtime, but subgradient ascent, the matrix
+// reductions and branch and bound can all run unboundedly on
+// adversarial instances.  A Budget caps each of those resources;
 // every solver in this library threads a Tracker through its loops and,
 // when the budget runs out, stops gracefully with the best feasible
 // solution and the tightest valid lower bound found so far.
@@ -54,15 +54,6 @@ type Budget struct {
 	// Context carries the wall-clock deadline and cancellation; nil
 	// means no deadline.
 	Context context.Context
-	// NodeCap caps the decision-diagram nodes of the implicit (ZDD)
-	// reduction phase.  The cap measures the live working set: the
-	// phase garbage-collects dead nodes (mark-sweep from the surviving
-	// family) both near the cap and in response to an overrun, so only
-	// families whose reachable nodes crowd the cap trip it.  Exhausting
-	// it is a graceful-degradation rung, not an interruption: the solve
-	// falls back to the explicit matrix path and still finishes.
-	// 0 = unlimited.
-	NodeCap int
 	// SearchCap caps branch-and-bound nodes across the whole solve.
 	// 0 = unlimited.
 	SearchCap int64

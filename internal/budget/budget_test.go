@@ -20,14 +20,6 @@ func TestZeroBudgetNeverInterrupts(t *testing.T) {
 	}
 }
 
-func TestNodeCapAloneIsNotInterruptible(t *testing.T) {
-	// NodeCap is a graceful-degradation rung consumed by the ZDD
-	// phase, not a tracker limit.
-	if tr := (Budget{NodeCap: 10}).Tracker(); tr != nil {
-		t.Fatal("NodeCap alone should not create a tracker")
-	}
-}
-
 func TestSearchCapLatches(t *testing.T) {
 	tr := Budget{SearchCap: 3}.Tracker()
 	for i := 0; i < 3; i++ {

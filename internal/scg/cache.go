@@ -14,30 +14,21 @@ import (
 // (sameResultOptions) both derive from it.  Workers is deliberately
 // excluded — the portfolio's output is bit-identical for any worker
 // count — and so are the observational and routing fields (OnImprove,
-// MemBudget, SpillDir, Cache) and the budget's deadline, cancellation
-// context, search and iteration caps: when one of those fires the
-// solve reports Interrupted, is never cached and never serves as a
-// resolve parent.  The ZDD NodeCap does enter, because the implicit
-// phase's explicit-fallback degradation is a silent (non-interrupting)
-// result change — unless DisableImplicit leaves no phase to cap.
-func resultWords(opt *Options) [21]uint64 {
+// MemBudget, SpillDir, Cache) and the whole budget: when one of its
+// limits fires the solve reports Interrupted, is never cached and
+// never serves as a resolve parent.
+func resultWords(opt *Options) [17]uint64 {
 	b2u := func(b bool) uint64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	nodeCap := opt.Budget.NodeCap
-	if opt.DisableImplicit {
-		nodeCap = 0
-	}
 	pp := opt.Params
 	return [...]uint64{
-		uint64(opt.NumIter), uint64(opt.BestCol),
-		uint64(opt.MaxR), uint64(opt.MaxC), uint64(opt.Seed),
-		b2u(opt.DisableImplicit), b2u(opt.DisablePenalties),
-		b2u(opt.DisablePromising), b2u(opt.DisablePartition),
-		b2u(opt.DisableWarmStart), uint64(nodeCap),
+		uint64(opt.NumIter), uint64(opt.BestCol), uint64(opt.Seed),
+		b2u(opt.DisablePenalties), b2u(opt.DisablePromising),
+		b2u(opt.DisablePartition), b2u(opt.DisableWarmStart),
 		math.Float64bits(pp.Alpha), math.Float64bits(pp.CHat),
 		math.Float64bits(pp.MuHat), math.Float64bits(pp.Delta),
 		math.Float64bits(pp.T0), math.Float64bits(pp.TMin),

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ucp/internal/benchmarks"
-	"ucp/internal/budget"
 	"ucp/internal/matrix"
 	"ucp/internal/primes"
 )
@@ -118,46 +117,5 @@ func TestChainRaisesImplicitCeiling(t *testing.T) {
 	restore()
 	if !plain.Aborted {
 		t.Fatalf("plain engine completed under cap %d: cap too loose to show the ceiling gain", cap)
-	}
-}
-
-// TestSolveChainVsPlainWorkers is the bit-identity contract across
-// the representation change: a full Solve through the ZDD implicit
-// phase returns the same solution, cost, bound and core on the chain
-// and plain engines, for every worker count.  (Node accounting
-// legitimately differs — that is the point — so only the semantic
-// fields are compared.)
-func TestSolveChainVsPlainWorkers(t *testing.T) {
-	p := plaCovering(t, "exam")
-	opt := Options{MaxR: 1, MaxC: 1, Budget: budget.Budget{NodeCap: 500_000}}
-
-	type outcome struct {
-		sol                []int
-		cost               int
-		lb                 float64
-		opt                bool
-		coreRows, coreCols int
-	}
-	var want *outcome
-	for _, chain := range []bool{true, false} {
-		restore := SetZDDChain(chain)
-		for _, w := range []int{1, 2, 4, 8} {
-			o := opt
-			o.Workers = w
-			res := Solve(p, o)
-			got := &outcome{res.Solution, res.Cost, res.LB, res.ProvedOptimal,
-				res.Stats.CoreRows, res.Stats.CoreCols}
-			if want == nil {
-				want = got
-				if got.sol == nil {
-					t.Fatal("reference solve found no cover")
-				}
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("solve diverges (chain=%v workers=%d):\ngot  %+v\nwant %+v", chain, w, got, want)
-			}
-		}
-		restore()
 	}
 }

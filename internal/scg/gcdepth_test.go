@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ucp/internal/benchmarks"
-	"ucp/internal/budget"
 	"ucp/internal/matrix"
 )
 
@@ -33,7 +32,7 @@ func cappedDepthInstance(t *testing.T) *matrix.Problem {
 // the ~6.3k nodes its uncapped phase stores, above its live working
 // set.  The garbage it has to reclaim is the dead intermediates of the
 // reduction passes — the bulk load strands none.  The contract holds
-// for caps of about 2.0k–6.3k in the phase and 2.0k–5.5k through Solve.
+// for caps of about 2.0k–6.3k.
 const cappedDepthNodeCap = 4_000
 
 // TestNodeCapGCReachesSmallerCore is the budget-depth contract of the
@@ -69,35 +68,5 @@ func TestNodeCapGCReachesSmallerCore(t *testing.T) {
 	restoreDense()
 	if full.Aborted || len(full.Core.Rows) != len(ir.Core.Rows) {
 		t.Fatalf("capped core has %d rows, uncapped fixpoint %d", len(ir.Core.Rows), len(full.Core.Rows))
-	}
-}
-
-// TestNodeCapGCSolveEndToEnd: the same depth gain observed through
-// Solve — with collections the capped solve keeps the implicit phase
-// (no degradation), without them it falls back; both still return the
-// same final cover.
-func TestNodeCapGCSolveEndToEnd(t *testing.T) {
-	p := plaCovering(t, "exam")
-	opt := Options{Seed: 3, Budget: budget.Budget{NodeCap: cappedDepthNodeCap}}
-
-	withGC := Solve(p, opt)
-	if withGC.Stats.ImplicitAborted {
-		t.Fatal("implicit phase degraded despite collections")
-	}
-	if withGC.Stats.ZDDCollections == 0 {
-		t.Fatal("solve finished without collecting: cap not exercised")
-	}
-
-	restore := SetZDDGC(false)
-	preGC := Solve(p, opt)
-	restore()
-	if !preGC.Stats.ImplicitAborted {
-		t.Fatal("pre-GC solve kept the implicit phase: cap too loose")
-	}
-	if withGC.Cost != preGC.Cost {
-		t.Fatalf("cover cost changed with GC: %d vs %d", withGC.Cost, preGC.Cost)
-	}
-	if !p.IsCover(withGC.Solution) {
-		t.Fatal("GC'd solve returned a non-cover")
 	}
 }

@@ -15,19 +15,13 @@ import "ucp/internal/matrix"
 // block's portfolio results are a pure function of (rows content,
 // referenced costs, block index, options), so a positional content
 // match makes reuse bit-exact, not approximate.
-//
-// The pipeline is pinned to the explicit-reduction path
-// (DisableImplicit): the ZDD phase re-enumerates rows in canonical
-// order, which destroys the row correspondence a delta carries.  On
-// instances the implicit phase would shortcut anyway (dense-eligible
-// cores) the two paths produce identical reductions by contract.
 
 // SolveState is the retained state of a SolveKeep solve, the parent
 // side of an incremental re-solve.  It is immutable once returned and
 // safe to share: ResolveState only reads it.
 type SolveState struct {
 	problem *matrix.Problem
-	opt     Options // filled, implicit phase disabled
+	opt     Options // filled, no cache or hook
 	red     *matrix.Reduction
 	trace   *matrix.ReduceTrace
 	comps   []matrix.Component
@@ -66,17 +60,16 @@ type ResolveInfo struct {
 	CompsReused, CompsSolved int
 }
 
-// SolveKeep runs the explicit-reduction ZDD_SCG pipeline on p and
-// returns the result together with the state a later ResolveState can
-// build on.  The whole input is solved as one part (part 0): it is not
-// split into its connected parts first, because replay works on
-// whole-problem row maps.  On connected inputs the result therefore
-// equals Solve with DisableImplicit bit for bit; on inputs with several
-// parts it is an equally valid solve whose restart streams, and so
-// possibly its counters and cover, differ.  Options.Cache and
-// Options.OnImprove are ignored (the retained state is the memoization
-// here, and the observational hook has no defined replay semantics);
-// DisableImplicit is forced on — see the package comment above.
+// SolveKeep runs the ZDD_SCG pipeline on p and returns the result
+// together with the state a later ResolveState can build on.  The
+// whole input is solved as one part (part 0): it is not split into its
+// connected parts first, because replay works on whole-problem row
+// maps.  On connected inputs the result therefore equals Solve bit for
+// bit; on inputs with several parts it is an equally valid solve whose
+// restart streams, and so possibly its counters and cover, differ.
+// Options.Cache and Options.OnImprove are ignored (the retained state
+// is the memoization here, and the observational hook has no defined
+// replay semantics).
 func SolveKeep(p *matrix.Problem, opt Options) (*Result, *SolveState) {
 	opt = keptOptions(opt)
 	st := &SolveState{problem: p, opt: opt}
@@ -107,11 +100,10 @@ func ResolveState(d *matrix.Delta, st *SolveState, opt Options, ro ResolveOption
 	}
 }
 
-// keptOptions fills opt for a kept solve: the explicit pipeline, no
-// cache, no OnImprove hook (see SolveKeep).
+// keptOptions fills opt for a kept solve: no cache, no OnImprove hook
+// (see SolveKeep).
 func keptOptions(opt Options) Options {
 	opt.fill()
-	opt.DisableImplicit = true
 	opt.Cache = nil
 	opt.OnImprove = nil
 	return opt

@@ -92,15 +92,15 @@ func sameSolve(t *testing.T, label string, got, want *Result) {
 }
 
 // TestSolveKeepMatchesSolve: keeping state must not perturb the solve —
-// SolveKeep solves the whole input as part 0, so on connected inputs it
-// equals Solve on the explicit pipeline bit for bit.  (Inputs with
+// SolveKeep solves the whole input as part 0 through the same pipeline,
+// so on connected inputs it equals Solve bit for bit.  (Inputs with
 // several parts run different restart streams; the pinned-output table
 // in the root package covers them.)
 func TestSolveKeepMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 14, 12, 3)
-		opt := Options{Seed: int64(trial), NumIter: 3, DisableImplicit: true, Workers: 1 + trial%4}
+		opt := Options{Seed: int64(trial), NumIter: 3, Workers: 1 + trial%4}
 		want := Solve(p, opt)
 		got, st := SolveKeep(p, opt)
 		sameSolve(t, "keep", got, want)
@@ -114,7 +114,7 @@ func TestSolveKeepMatchesSolve(t *testing.T) {
 		if matrix.Partition(p) != nil {
 			t.Fatalf("seed %d: instance is not connected", seed)
 		}
-		opt := Options{Seed: 11, NumIter: 4, DisableImplicit: true, Workers: 1 + k}
+		opt := Options{Seed: 11, NumIter: 4, Workers: 1 + k}
 		want := Solve(p, opt)
 		if want.Stats.Runs == 0 {
 			t.Fatalf("seed %d: no restart ran", seed)
@@ -122,6 +122,12 @@ func TestSolveKeepMatchesSolve(t *testing.T) {
 		got, _ := SolveKeep(p, opt)
 		sameSolve(t, "keep cyclic", got, want)
 	}
+	// The largest part of a wide PLA covering, where Solve used to run
+	// the ZDD engine.
+	wide := widePart(t)
+	opt := Options{Seed: 11, NumIter: 4, Workers: 2}
+	got, _ := SolveKeep(wide, opt)
+	sameSolve(t, "keep wide", got, Solve(wide, opt))
 }
 
 // TestResolveMatchesCold is the resolve bit-exactness contract: for

@@ -2,18 +2,24 @@
 // constructive heuristic for the unate covering problem driven by
 // lagrangian relaxation (Figure 2 of the paper).
 //
-// The covering matrix first passes through an implicit reduction phase
-// where it lives inside a single ZDD (one set of column ids per row):
-// duplicate rows vanish by canonicity, row dominance is the Minimal
-// operation, essential columns are the singleton sets, and column
-// dominance is tested with Subset operations.  The (small) cyclic core
-// is then decoded to a sparse matrix and the subgradient machinery of
-// internal/lagrangian rates the columns; penalty tests fix columns in
-// or out, "promising" columns are fixed heuristically, and one
-// best-rated column is always fixed to guarantee progress.  The
-// process repeats until the matrix empties, then the solution is made
-// irredundant.  NumIter outer runs restart from the saved cyclic core,
-// choosing among the BestCol top-rated columns at random.
+// Each connected part of the covering matrix is reduced to its cyclic
+// core by the explicit fixpoint of internal/matrix (duplicate rows,
+// row dominance, essential columns, column dominance), which picks its
+// dense bit-matrix or sparse engine from the input.  The subgradient
+// machinery of internal/lagrangian then rates the core's columns;
+// penalty tests fix columns in or out, "promising" columns are fixed
+// heuristically, and one best-rated column is always fixed to
+// guarantee progress.  The process repeats until the matrix empties,
+// then the solution is made irredundant.  NumIter outer runs restart
+// from the saved cyclic core, choosing among the BestCol top-rated
+// columns at random.
+//
+// The paper runs those reductions inside a ZDD before it decodes the
+// core.  That pays only when the matrix is never built explicitly, and
+// here the covering front end materialises every row, so the solve
+// does not run a ZDD phase.  ImplicitReduceBudgetWorkers keeps the
+// paper's ZDD phase as a reference engine: the differential tests and
+// the implicit-vs-explicit ablation call it.
 package scg
 
 import (
@@ -40,17 +46,10 @@ type Options struct {
 	// BestCol is the stochastic window of the first randomised run; it
 	// grows by one each later run.  Default 2.
 	BestCol int
-	// MaxR / MaxC stop the implicit reduction phase as soon as the
-	// explicit matrix is small enough (the paper uses 5000 rows and
-	// 10000 columns).
-	MaxR, MaxC int
 	// Params tunes the subgradient ascent.
 	Params lagrangian.Params
 	// Seed drives the stochastic runs.
 	Seed int64
-	// DisableImplicit skips the ZDD phase (for ablations): explicit
-	// reductions do all the work.
-	DisableImplicit bool
 	// DisablePenalties skips the lagrangian and dual penalty fixing
 	// (for ablations).
 	DisablePenalties bool
@@ -74,10 +73,10 @@ type Options struct {
 	// Seed regardless of Workers (timings and interrupted solves
 	// excepted); see DESIGN.md for the contract.
 	Workers int
-	// Budget bounds the solve (wall-clock deadline, ZDD node cap,
-	// subgradient iteration cap).  The zero value is unlimited.  When
-	// the budget runs out the solver degrades gracefully: the implicit
-	// phase falls back to the explicit one, the fixing loop stops, and
+	// Budget bounds the solve (wall-clock deadline, subgradient
+	// iteration cap).  The zero value is unlimited.  When the budget
+	// runs out the solver degrades gracefully: the reductions return
+	// the equivalent problem they reached, the fixing loop stops, and
 	// the best feasible solution found so far is returned with
 	// Interrupted set and a still-valid lower bound.
 	Budget budget.Budget
@@ -125,37 +124,26 @@ func (o *Options) fill() {
 	if o.BestCol == 0 {
 		o.BestCol = 2
 	}
-	if o.MaxR == 0 {
-		o.MaxR = 5000
-	}
-	if o.MaxC == 0 {
-		o.MaxC = 10000
-	}
 }
 
 // Stats reports how the solve went.
 type Stats struct {
-	CyclicCoreTime time.Duration // implicit + explicit reduction time
+	CyclicCoreTime time.Duration // reduction time
 	TotalTime      time.Duration
 	CoreRows       int // rows of the cyclic core
 	CoreCols       int // active columns of the cyclic core
-	ZDDNodes       int // high-water ZDD node store of the implicit phase
-	ZDDCollections int // mark-sweep collections run by the implicit phase
-	// ZDDLiveNodes / ZDDPlainNodes profile the implicit phase's final
-	// family: live chain-reduced nodes versus the plain-equivalent
-	// node count a chain-free ZDD would store.  Their ratio is the
-	// chain-compression factor; both stay zero on the dense shortcut.
-	ZDDLiveNodes  int
-	ZDDPlainNodes int
-	FixSteps      int // column-fixing iterations over all runs
-	Runs          int // constructive runs executed
-	SubgradIters  int // total subgradient iterations
-	// ImplicitAborted reports that the ZDD phase hit its node cap (or
-	// the deadline) and the solve fell back to the explicit path.
-	ImplicitAborted bool
-	// ImplicitDense reports that the implicit phase ran on the dense
-	// bit-matrix engine instead of the ZDD (small dense instances);
-	// ZDDNodes is then zero by construction.
+	FixSteps       int // column-fixing iterations over all runs
+	Runs           int // constructive runs executed
+	SubgradIters   int // total subgradient iterations
+	// Deprecated: always zero; the solve has no implicit phase.  This
+	// field and the next three remain because benchmark/child.go reads
+	// them.
+	ZDDNodes int
+	// Deprecated: always zero; the solve has no implicit phase.
+	ZDDLiveNodes int
+	// Deprecated: always zero; the solve has no implicit phase.
+	ZDDCollections int
+	// Deprecated: always zero; the solve has no implicit phase.
 	ImplicitDense bool
 	// CacheHits / CacheMisses report how Options.Cache served this
 	// solve: a hit returned a stored (or in-flight leader's) result, a
@@ -293,13 +281,12 @@ func SolvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 }
 
 // solvePart is the per-part pipeline (Figure 2 of the paper): column
-// compaction when the input has several parts, implicit reduction,
-// explicit reduction, block portfolio over the cyclic core, per-part
-// irredundant cleanup.  emit (may be nil) receives the part's
-// improving incumbents.  kp (may be nil) is the keep stage of an
-// incremental solve: its explicit reduction is traced, or replayed
-// from the parent's trace, and its portfolio carries unchanged parent
-// blocks over and captures multipliers.
+// compaction when the input has several parts, reduction to the cyclic
+// core, block portfolio over the core, per-part irredundant cleanup.
+// emit (may be nil) receives the part's improving incumbents.  kp (may
+// be nil) is the keep stage of an incremental solve: its reduction is
+// traced, or replayed from the parent's trace, and its portfolio
+// carries unchanged parent blocks over and captures multipliers.
 func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) (pr *PartResult) {
 	pr = &PartResult{}
 	if nparts > 1 {
@@ -327,37 +314,15 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// ----- implicit reduction to (near) cyclic core -----
-	var essential []int
-	work := part
-	if !opt.DisableImplicit {
-		ir := ImplicitReduceBudgetWorkers(part, opt.MaxR, opt.MaxC, opt.Budget.NodeCap, tr, workers)
-		pr.Stats.ZDDNodes = ir.ZDDNodes
-		pr.Stats.ZDDCollections = ir.Collections
-		pr.Stats.ZDDLiveNodes = ir.LiveNodes
-		pr.Stats.ZDDPlainNodes = ir.PlainNodes
-		pr.Stats.ImplicitDense = ir.Dense
-		if ir.Aborted {
-			// Node cap or deadline: degrade to the explicit reduction
-			// path on the original matrix (the DisableImplicit route).
-			pr.Stats.ImplicitAborted = true
-		} else if ir.Infeasible {
-			return pr
-		} else {
-			essential = append(essential, ir.Essential...)
-			work = ir.Core
-		}
-	}
-
-	// ----- explicit reductions: plain, or traced for a kept solve and
-	// replayed from the parent's trace for a resolve (a kept solve has
-	// one part and no implicit phase, so work is kp.d.Child) -----
+	// ----- reduction to the cyclic core: plain, or traced for a kept
+	// solve and replayed from the parent's trace for a resolve (a kept
+	// solve has one part, so part is kp.d.Child) -----
 	var red *matrix.Reduction
 	switch {
 	case kp == nil:
-		red = matrix.ReduceBudgetWorkers(work, tr, workers)
+		red = matrix.ReduceBudgetWorkers(part, tr, workers)
 	case kp.parent == nil:
-		red, kp.st.trace = matrix.ReduceTrackedTrace(work, tr, workers)
+		red, kp.st.trace = matrix.ReduceTrackedTrace(part, tr, workers)
 	default:
 		red, kp.st.trace = matrix.ReplayReduce(kp.d, kp.parent.trace, tr, workers)
 	}
@@ -367,7 +332,7 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 	if red.Infeasible {
 		return pr
 	}
-	essential = append(essential, red.Essential...)
+	essential := red.Essential
 	core := red.Core
 	pr.Stats.CyclicCoreTime = time.Since(t0)
 	pr.Stats.CoreRows = len(core.Rows)
@@ -474,24 +439,14 @@ func MergeParts(prs []*PartResult) *Result {
 }
 
 // foldStats accumulates one part's counters into the whole-solve
-// Stats: everything sums except ZDDNodes — each part runs its own ZDD
-// manager, so the high-water store is the max over parts — and the
-// two implicit-phase flags, which latch.
+// Stats; they all sum.
 func foldStats(dst, src *Stats) {
 	dst.CyclicCoreTime += src.CyclicCoreTime
 	dst.CoreRows += src.CoreRows
 	dst.CoreCols += src.CoreCols
-	if src.ZDDNodes > dst.ZDDNodes {
-		dst.ZDDNodes = src.ZDDNodes
-	}
-	dst.ZDDCollections += src.ZDDCollections
-	dst.ZDDLiveNodes += src.ZDDLiveNodes
-	dst.ZDDPlainNodes += src.ZDDPlainNodes
 	dst.FixSteps += src.FixSteps
 	dst.Runs += src.Runs
 	dst.SubgradIters += src.SubgradIters
-	dst.ImplicitAborted = dst.ImplicitAborted || src.ImplicitAborted
-	dst.ImplicitDense = dst.ImplicitDense || src.ImplicitDense
 }
 
 // runOnce executes one constructive run of the fixing loop on a copy
@@ -510,6 +465,7 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 	// with cur.Rows; mu lives in original column-id space.
 	var lambda []float64
 	var muFull []float64
+	var flags []uint8 // per compact column: fixIn, fixOut
 
 	for {
 		if tr.Interrupted() {
@@ -557,8 +513,10 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 		budget := zBest - core.CostOf(fixed)
 
 		// ----- penalty fixing -----
-		toFix := map[int]bool{}
-		toDrop := map[int]bool{}
+		// flags marks each compact column fixed in or out.  The fixes
+		// apply in ascending column order: the order of fixed breaks
+		// Irredundant's ties, so it must not depend on iteration order.
+		flags = append(flags[:0], make([]uint8, compact.NCol)...)
 		if !opt.DisablePenalties {
 			pen := lagrangian.LagrangianPenalties(sg.CTilde, sg.LB, budget)
 			prm := opt.Params
@@ -572,25 +530,25 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 				return sol, cost, coreLB, sgIters, steps
 			}
 			for _, j := range pen.FixIn {
-				toFix[j] = true
+				flags[j] |= fixIn
 			}
 			for _, j := range pen.FixOut {
-				toDrop[j] = true
+				flags[j] |= fixOut
 			}
 		}
 
 		// ----- promising columns (ĉ / μ̂ thresholds) -----
 		if !opt.DisablePromising {
 			for _, j := range lagrangian.Promising(sg.CTilde, sg.Mu, opt.Params) {
-				if !toDrop[j] {
-					toFix[j] = true
+				if flags[j]&fixOut == 0 {
+					flags[j] |= fixIn
 				}
 			}
 		}
 
 		// ----- always fix one column: the σ-best (or a random pick
 		// among the top `window` candidates on stochastic runs) -----
-		if len(toFix) == 0 {
+		if !slices.ContainsFunc(flags, func(f uint8) bool { return f&fixIn != 0 }) {
 			alpha := opt.Params.Alpha
 			if alpha == 0 {
 				alpha = lagrangian.DefaultParams().Alpha
@@ -602,7 +560,7 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 			}
 			var order []rated
 			for j := 0; j < compact.NCol; j++ {
-				if !toDrop[j] {
+				if flags[j]&fixOut == 0 {
 					order = append(order, rated{j, sigma[j]})
 				}
 			}
@@ -618,7 +576,7 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 				}
 				k = rng.Intn(w)
 			}
-			toFix[order[k].j] = true
+			flags[order[k].j] |= fixIn
 		}
 
 		// Save the phase's best multipliers for the warm start of the
@@ -637,7 +595,10 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 		for i := range rowsKept {
 			rowsKept[i] = i
 		}
-		for j := range toFix {
+		for j, f := range flags {
+			if f&fixIn == 0 {
+				continue
+			}
 			fixed = append(fixed, ids[j])
 			var kept []int
 			next, kept = next.FixColumnTracked(ids[j])
@@ -647,8 +608,8 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 			}
 			rowsKept = mapped
 		}
-		for j := range toDrop {
-			if !toFix[j] {
+		for j, f := range flags {
+			if f == fixOut {
 				next = next.RemoveColumn(ids[j]) // rows unchanged
 			}
 		}
@@ -671,6 +632,12 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 		cur = red.Core
 	}
 }
+
+// Fixing flags of one step of runOnce.
+const (
+	fixIn uint8 = 1 << iota
+	fixOut
+)
 
 func mapCols(cols, ids []int) []int {
 	out := make([]int, len(cols))

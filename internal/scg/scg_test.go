@@ -1,10 +1,14 @@
 package scg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"ucp/internal/benchmarks"
 	"ucp/internal/bnb"
 	"ucp/internal/matrix"
 )
@@ -145,12 +149,11 @@ func TestAblationsStillValid(t *testing.T) {
 		p := randomProblem(rng, 10, 10, 3)
 		opt := bnb.Solve(p, bnb.Options{})
 		for _, o := range []Options{
-			{DisableImplicit: true},
 			{DisablePenalties: true},
 			{DisablePromising: true},
 			{DisableWarmStart: true},
 			{DisablePartition: true},
-			{DisableImplicit: true, DisablePenalties: true, DisablePromising: true, DisableWarmStart: true, DisablePartition: true},
+			{DisablePenalties: true, DisablePromising: true, DisableWarmStart: true, DisablePartition: true},
 		} {
 			o.Seed = int64(trial)
 			res := Solve(p, o)
@@ -193,27 +196,125 @@ func TestImplicitReducePreservesOptimum(t *testing.T) {
 	}
 }
 
+// implicitAgreement checks the ZDD phase against the explicit
+// reduction the solve runs: the phase followed by
+// matrix.ReduceBudgetWorkers on its core must reach the explicit
+// fixpoint's feasibility verdict, sorted essential set and core row
+// multiset (the phase decodes its core in ZDD enumeration order).  It
+// returns "" on agreement.  The caller picks the engine with
+// SetDenseImplicit and SetZDDChain.
+func implicitAgreement(p *matrix.Problem) string {
+	er := matrix.ReduceBudgetWorkers(p, nil, 1)
+	ir := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1) // tiny thresholds: run to fixpoint
+	switch {
+	case ir.Aborted:
+		return "phase aborted without a cap"
+	case ir.Infeasible != er.Infeasible:
+		return fmt.Sprintf("infeasible: phase %v, explicit %v", ir.Infeasible, er.Infeasible)
+	case ir.Infeasible:
+		return ""
+	}
+	fin := matrix.ReduceBudgetWorkers(ir.Core, nil, 1)
+	if fin.Infeasible {
+		return "the explicit finish of the phase's core is infeasible"
+	}
+	ess := append(slices.Clone(ir.Essential), fin.Essential...)
+	sort.Ints(ess)
+	if !slices.Equal(ess, er.Essential) {
+		return fmt.Sprintf("essentials: phase+finish %v, explicit %v", ess, er.Essential)
+	}
+	if got, want := sortedRows(fin.Core.Rows), sortedRows(er.Core.Rows); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+		return fmt.Sprintf("core rows: phase+finish %v, explicit %v", got, want)
+	}
+	return ""
+}
+
+func sortedRows(rows [][]int) [][]int {
+	out := slices.Clone(rows)
+	slices.SortFunc(out, slices.Compare[[]int])
+	return out
+}
+
+// TestImplicitReduceAgreesWithExplicit makes the ZDD phase the explicit
+// reductions' exact oracle, on both ZDD engines with the dense shortcut
+// off: random matrices, cyclic coverings and random coverings, with
+// unit costs and with costs 1–4.
 func TestImplicitReduceAgreesWithExplicit(t *testing.T) {
-	for _, dense := range []bool{true, false} {
-		restore := SetDenseImplicit(dense)
+	defer SetDenseImplicit(false)()
+	for _, chain := range []bool{true, false} {
+		restore := SetZDDChain(chain)
 		rng := rand.New(rand.NewSource(87))
+		var inputs []*matrix.Problem
 		for trial := 0; trial < 100; trial++ {
-			p := randomProblem(rng, 9, 9, 1)
-			ir := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1)
-			er := matrix.ReduceBudgetWorkers(p, nil, 1)
-			if ir.Infeasible != er.Infeasible {
-				t.Fatalf("dense=%v trial %d: infeasibility disagreement", dense, trial)
+			inputs = append(inputs, randomProblem(rng, 9, 9, 1), randomProblem(rng, 9, 9, 4))
+		}
+		for seed := int64(1); seed <= 30; seed++ {
+			cyc := benchmarks.CyclicCovering(seed, 12+rng.Intn(30), 8+rng.Intn(16), 2+rng.Intn(2))
+			cost := make([]int, cyc.NCol)
+			for j := range cost {
+				cost[j] = 1 + rng.Intn(4)
 			}
-			// The cyclic cores must have the same number of rows: both
-			// reduction systems implement the same fixpoint.
-			irFinal := matrix.ReduceBudgetWorkers(ir.Core, nil, 1) // implicit may stop at threshold
-			if len(irFinal.Core.Rows) != len(er.Core.Rows) {
-				t.Fatalf("dense=%v trial %d: core sizes differ: %d vs %d",
-					dense, trial, len(irFinal.Core.Rows), len(er.Core.Rows))
+			inputs = append(inputs, cyc, matrix.MustNew(cyc.Rows, cyc.NCol, cost),
+				benchmarks.RandomCovering(seed, 10+rng.Intn(30), 6+rng.Intn(14), 0.15+0.3*rng.Float64(), 4))
+		}
+		for k, p := range inputs {
+			if msg := implicitAgreement(p); msg != "" {
+				t.Fatalf("chain=%v input %d: %s\nrows=%v cost=%v", chain, k, msg, p.Rows, p.Cost)
 			}
 		}
 		restore()
 	}
+}
+
+// FuzzImplicitAgreesWithExplicit runs implicitAgreement on arbitrary
+// small matrices, on both ZDD engines with the dense shortcut off.  The
+// first byte picks the column count (1–12), the next ones the costs
+// (1–4), and the rest decodes to rows of 0–5 column ids; an empty row
+// exercises the infeasibility verdicts.
+func FuzzImplicitAgreesWithExplicit(f *testing.F) {
+	f.Add([]byte{5, 1, 1, 1, 1, 1, 2, 0, 1, 2, 1, 2, 2, 0, 2})
+	f.Add([]byte{7, 3, 1, 4, 2, 2, 1, 3, 3, 0, 1, 2, 3, 3, 4, 5, 3, 5, 6, 0, 2, 2, 6, 1, 1})
+	f.Add([]byte{3, 1, 2, 3, 1, 0, 0, 2, 1, 2})
+	f.Add([]byte{11, 4, 3, 2, 1, 4, 3, 2, 1, 4, 3, 2, 5, 0, 3, 5, 7, 9, 4, 1, 2, 4, 8, 3, 10, 6, 2, 2, 9, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		ncol := 1 + int(data[0]%12)
+		data = data[1:]
+		cost := make([]int, ncol)
+		for j := range cost {
+			cost[j] = 1
+			if j < len(data) {
+				cost[j] += int(data[j] % 4)
+			}
+		}
+		data = data[min(ncol, len(data)):]
+		var rows [][]int
+		for pos := 0; pos < len(data); {
+			n := int(data[pos] % 6)
+			pos++
+			row := []int{}
+			for ; n > 0 && pos < len(data); n-- {
+				row = append(row, int(data[pos])%ncol)
+				pos++
+			}
+			rows = append(rows, row)
+		}
+		p := matrix.MustNew(rows, ncol, cost)
+		defer SetDenseImplicit(false)()
+		for _, chain := range []bool{true, false} {
+			restore := SetZDDChain(chain)
+			msg := implicitAgreement(p)
+			restore()
+			if msg != "" {
+				t.Fatalf("chain=%v: %s\nrows=%v cost=%v", chain, msg, p.Rows, p.Cost)
+			}
+		}
+	})
 }
 
 func TestImplicitReduceInfeasible(t *testing.T) {
@@ -230,22 +331,6 @@ func TestStatsPopulated(t *testing.T) {
 	res := Solve(p, Options{NumIter: 2, Seed: 1})
 	if res.Stats.TotalTime <= 0 {
 		t.Fatal("total time not measured")
-	}
-	// The implicit phase ran on exactly one engine: ZDD nodes were
-	// allocated, or the dense shortcut claimed the instance.
-	if res.Stats.ZDDNodes == 0 && !res.Stats.ImplicitDense {
-		t.Fatal("implicit phase did not run")
-	}
-	if res.Stats.ZDDNodes > 0 && res.Stats.ImplicitDense {
-		t.Fatal("both implicit engines claim to have run")
-	}
-
-	// Forcing the ZDD engine must still populate its node counter.
-	restore := SetDenseImplicit(false)
-	defer restore()
-	res = Solve(p, Options{NumIter: 2, Seed: 1})
-	if res.Stats.ZDDNodes == 0 {
-		t.Fatal("ZDD phase did not run")
 	}
 }
 

@@ -45,8 +45,8 @@ type Request struct {
 	// Keep asks the server to retain the solve state for later
 	// incremental re-solves; the response then carries a solve_id the
 	// client can name as Parent in a follow-up request.  Matrix scg
-	// solves only; keep solves pin the explicit reduction pipeline,
-	// bypass the cross-solve cache and emit no streamed incumbents.
+	// solves only; keep solves bypass the cross-solve cache and emit no
+	// streamed incumbents.
 	Keep bool `json:"keep,omitempty"`
 	// Parent names an earlier keep solve's solve_id: the server
 	// reconstructs the edit from that retained instance to this one

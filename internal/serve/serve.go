@@ -115,22 +115,7 @@ type Stats struct {
 
 	Cache   ucp.CacheStats `json:"cache"`
 	Resolve ResolveStats   `json:"resolve"`
-	ZDD     ZDDStats       `json:"zdd"`
 	Shard   ShardStats     `json:"shard"`
-}
-
-// ZDDStats aggregates the implicit-phase engine profile across every
-// solve that ran the ZDD (solves claimed by the dense shortcut or the
-// cache contribute nothing): the largest node store any single solve
-// grew, total live and plain-equivalent nodes of the surviving
-// families, the chain-compression ratio of those totals, and the
-// mark-sweep collections run.
-type ZDDStats struct {
-	PeakNodes   int64   `json:"peak_nodes"`
-	LiveNodes   int64   `json:"live_nodes"`
-	PlainNodes  int64   `json:"plain_nodes"`
-	ChainRatio  float64 `json:"chain_ratio"`
-	Collections int64   `json:"collections"`
 }
 
 // ShardStats aggregates the out-of-core driver's counters across every
@@ -175,32 +160,11 @@ type Server struct {
 	rejOverload, rejDraining, gone  atomic.Int64
 	status2xx, status4xx, status5xx atomic.Int64
 
-	zddPeak                         atomic.Int64 // max over solves
-	zddLive, zddPlain, zddCollected atomic.Int64 // sums over solves
-
 	shardComps, shardSpilled      atomic.Int64 // sums over sharded solves
 	shardRespilled, shardDegraded atomic.Int64
 	shardPeak                     atomic.Int64 // max over sharded solves
 
 	unknownParents atomic.Int64 // parent ids that missed the keep store
-}
-
-// recordZDD folds one solve's implicit-phase profile into the /stats
-// aggregates; solves that never ran the ZDD engine report peak 0 and
-// are skipped.
-func (s *Server) recordZDD(peak, live, plain, collections int) {
-	if peak == 0 {
-		return
-	}
-	for {
-		old := s.zddPeak.Load()
-		if int64(peak) <= old || s.zddPeak.CompareAndSwap(old, int64(peak)) {
-			break
-		}
-	}
-	s.zddLive.Add(int64(live))
-	s.zddPlain.Add(int64(plain))
-	s.zddCollected.Add(int64(collections))
 }
 
 // recordShard folds one sharded solve's scheduling profile into the
@@ -266,13 +230,6 @@ func (s *Server) Stats() Stats {
 		Draining:         s.draining.Load(),
 		Cache:            s.solver.CacheStats(),
 		Resolve:          s.resolveStats(),
-		ZDD: ZDDStats{
-			PeakNodes:   s.zddPeak.Load(),
-			LiveNodes:   s.zddLive.Load(),
-			PlainNodes:  s.zddPlain.Load(),
-			ChainRatio:  chainRatio(s.zddLive.Load(), s.zddPlain.Load()),
-			Collections: s.zddCollected.Load(),
-		},
 		Shard: ShardStats{
 			Components: s.shardComps.Load(),
 			Spilled:    s.shardSpilled.Load(),
@@ -281,13 +238,6 @@ func (s *Server) Stats() Stats {
 			PeakBytes:  s.shardPeak.Load(),
 		},
 	}
-}
-
-func chainRatio(live, plain int64) float64 {
-	if live <= 0 {
-		return 0
-	}
-	return float64(plain) / float64(live)
 }
 
 // Shutdown drains the service: admission flips to 503, queued jobs are
@@ -662,7 +612,6 @@ func (s *Server) solveSCG(j *job, bud ucp.Budget) (Response, int) {
 		}
 	}
 	res := s.solver.SolveSCG(j.prob, opt)
-	s.recordZDD(res.Stats.ZDDNodes, res.Stats.ZDDLiveNodes, res.Stats.ZDDPlainNodes, res.Stats.ZDDCollections)
 	s.recordShard(res.Stats.ShardComponents, res.Stats.ShardSpilled,
 		res.Stats.ShardRespilled, res.Stats.ShardDegraded, res.Stats.ShardPeakBytes)
 	if res.Solution == nil {
@@ -724,7 +673,6 @@ func (s *Server) solvePLA(j *job, bud ucp.Budget) (Response, int) {
 			return Response{Error: err.Error()}, http.StatusInternalServerError
 		}
 	}
-	s.recordZDD(res.ZDDNodes, res.ZDDLiveNodes, res.ZDDPlainNodes, res.ZDDCollections)
 	s.recordShard(res.ShardComponents, res.ShardSpilled,
 		res.ShardRespilled, res.ShardDegraded, res.ShardPeakBytes)
 	if j.pla.F.S.Inputs() <= equivalentCheckMaxInputs && !ucp.Equivalent(j.pla, res.Cover) {

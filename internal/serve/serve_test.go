@@ -379,37 +379,6 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
-// TestStatsZDDProfile: an scg solve on an instance too small for the
-// dense shortcut runs the ZDD implicit phase, and /stats surfaces the
-// engine profile — peak and live nodes, the plain-equivalent count and
-// the chain-compression ratio.
-func TestStatsZDDProfile(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-
-	if resp, _ := postSolve(t, ts.Client(), ts.URL, &Request{Problem: tinyProblem, Solver: "scg"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve status %d", resp.StatusCode)
-	}
-
-	resp, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.ZDD.PeakNodes == 0 {
-		t.Fatalf("zdd peak nodes not recorded: %+v", st.ZDD)
-	}
-	if st.ZDD.LiveNodes <= 0 || st.ZDD.PlainNodes < st.ZDD.LiveNodes {
-		t.Fatalf("zdd live/plain profile inconsistent: %+v", st.ZDD)
-	}
-	if st.ZDD.ChainRatio < 1 {
-		t.Fatalf("chain ratio %v below 1", st.ZDD.ChainRatio)
-	}
-}
-
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := ts.Client().Get(ts.URL + "/solve")

@@ -93,15 +93,11 @@ func (c *resolveCounters) snapshot() ResolveStats {
 }
 
 // SolveSCGKeep solves p with the session state kept for later
-// incremental re-solves.  The pipeline is pinned to the explicit
-// reductions (the ZDD phase has no replayable row correspondence), so
-// on instances where the implicit phase matters the first solve can
-// be slower than SolveSCG — the payoff is every subsequent Resolve.
-// The whole input is solved as one part, without first splitting it
-// into its connected parts (replay works on whole-problem row maps):
-// on a connected p the result equals SolveSCG with DisableImplicit bit
-// for bit, while on a p with several parts the restart streams and so
-// possibly the counters and the cover differ.  The state is also
+// incremental re-solves.  The whole input is solved as one part,
+// without first splitting it into its connected parts (replay works on
+// whole-problem row maps): on a connected p the result equals SolveSCG
+// bit for bit, while on a p with several parts the restart streams and
+// so possibly the counters and the cover differ.  The state is also
 // admitted to the Solver's ancestor arena, keyed by the problem's
 // structural fingerprint.
 func (s *Solver) SolveSCGKeep(p *Problem, opt SCGOptions) (*SCGResult, *Resolvable) {

@@ -81,15 +81,6 @@ type TwoLevelResult struct {
 	CacheHits   int64
 	CacheMisses int64
 	TTHits      int64
-	// ZDD engine profile of the implicit reduction phase (SCG pipeline
-	// only; all zero for Espresso, the exact pipeline, or when the
-	// dense shortcut claimed the instance): high-water node store,
-	// live and plain-equivalent nodes of the surviving family, and
-	// mark-sweep collections.  See scg.Stats.
-	ZDDNodes       int
-	ZDDLiveNodes   int
-	ZDDPlainNodes  int
-	ZDDCollections int
 	// Shard counters of the out-of-core sharded covering solve
 	// (SCGOptions.MemBudget > 0); all zero on direct solves.  See
 	// scg.Stats.
@@ -129,8 +120,8 @@ func buildCovering(f *PLA, cm CostModel, tr *budget.Tracker) (*Problem, *Cover, 
 }
 
 // MinimizeSCG minimises the PLA with the paper's full pipeline:
-// prime generation, Quine–McCluskey covering formulation, implicit
-// (ZDD) and explicit reductions, and the ZDD_SCG lagrangian heuristic.
+// prime generation, Quine–McCluskey covering formulation, reduction to
+// the cyclic core, and the ZDD_SCG lagrangian heuristic.
 // The budget in opt spans the whole pipeline.
 func MinimizeSCG(f *PLA, opt SCGOptions) (out *TwoLevelResult, err error) {
 	defer guard(&err)
@@ -161,10 +152,6 @@ func MinimizeSCG(f *PLA, opt SCGOptions) (out *TwoLevelResult, err error) {
 		StopReason:      res.StopReason,
 		CacheHits:       res.Stats.CacheHits,
 		CacheMisses:     res.Stats.CacheMisses,
-		ZDDNodes:        res.Stats.ZDDNodes,
-		ZDDLiveNodes:    res.Stats.ZDDLiveNodes,
-		ZDDPlainNodes:   res.Stats.ZDDPlainNodes,
-		ZDDCollections:  res.Stats.ZDDCollections,
 		ShardComponents: res.Stats.ShardComponents,
 		ShardSpilled:    res.Stats.ShardSpilled,
 		ShardRespilled:  res.Stats.ShardRespilled,

@@ -5,8 +5,8 @@
 // It provides, as a library:
 //
 //   - the unate covering problem (UCP) with the classical reductions
-//     (essentials, row/column dominance, partitioning) both explicit
-//     and implicit over Zero-suppressed BDDs;
+//     (essentials, row/column dominance, partitioning) on an explicit
+//     sparse or dense bit matrix;
 //   - ZDD_SCG, the paper's lagrangian-guided constructive heuristic
 //     (SolveSCG), with its subgradient ascent, dual ascent, penalty
 //     tests and stochastic multi-run fixing;
@@ -43,9 +43,8 @@ import (
 )
 
 // Budget bounds the work a solve may do: a wall-clock deadline or
-// cancellation via Context, a node cap for the implicit (ZDD) phase, a
-// branch-and-bound node cap and a subgradient iteration cap.  The zero
-// value is unlimited.  Every solver accepts one through its options
+// cancellation via Context, a branch-and-bound node cap and a
+// subgradient iteration cap.  The zero value is unlimited.  Every solver accepts one through its options
 // struct and, when the budget runs out, stops gracefully with the best
 // feasible solution and the tightest valid lower bound found so far,
 // reporting Interrupted and a StopReason on its result.
@@ -102,7 +101,9 @@ func ReduceProblem(p *Problem) *Reduction { return matrix.ReduceBudgetWorkers(p,
 
 // SCGOptions configures the ZDD_SCG solver; the zero value uses the
 // paper's parameters (α = 2, ĉ = 0.001, μ̂ = 0.999, DualPen = 100,
-// MaxR = 5000, MaxC = 10000, NumIter = 1).
+// NumIter = 1).  The solve reduces each part with the explicit
+// reductions only: the paper's implicit ZDD phase, with its row and
+// column thresholds, is not on the solve path (see DESIGN.md §6).
 type SCGOptions = scg.Options
 
 // SCGResult is a ZDD_SCG outcome: solution, cost, certified lower
