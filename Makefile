@@ -49,13 +49,17 @@ shard-smoke:
 	sh scripts/shard_smoke.sh
 
 # bench-diff reruns the substrate benches and fails on regression
-# against the committed baseline: >75% ns/op growth or >0.5% allocs/op
-# growth — the timing allowance spans the container's load windows and
-# the alloc allowance absorbs the parallel portfolio's
-# scheduler-dependent pool jitter (see cmd/benchfmt).  The runs pin
-# -cpu 1, the setting the baseline was recorded at: benchmark names
-# carry the GOMAXPROCS suffix, so on a multi-core host an unpinned run
-# would read every bench as "not in baseline" and check none of them.
+# against the committed baseline: >75% ns/op growth, >0.5% allocs/op
+# growth, or any work counter (cost/op, corerows/op, nodes/op, ... —
+# every metric but ns/op, B/op and allocs/op) that differs from the
+# baseline or between repetitions.  The timing allowance spans the
+# container's load windows, the alloc allowance absorbs the parallel
+# portfolio's scheduler-dependent pool jitter, and the counters are
+# exact because the solvers are bit-identical (see cmd/benchfmt).  The
+# runs pin -cpu 1, the setting the baseline was recorded at: benchmark
+# names carry the GOMAXPROCS suffix, so on a multi-core host an
+# unpinned run would read every bench as "not in baseline" and check
+# none of them.
 bench-diff:
 	{ $(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -benchtime 1x -count 5 -cpu 1 . ; \
 	  $(GO) test -run '^$$' -bench '$(FRONTEND_BENCH)' -benchtime 1x -count 3 -cpu 1 ./internal/primes ; } \
@@ -79,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzZDDChain$$' -fuzztime $(FUZZTIME) ./internal/zdd
 	$(GO) test -run '^$$' -fuzz '^FuzzZDDFamily$$' -fuzztime $(FUZZTIME) ./internal/zdd
 	$(GO) test -run '^$$' -fuzz '^FuzzImplicitAgreesWithExplicit$$' -fuzztime $(FUZZTIME) ./internal/scg
+	$(GO) test -run '^$$' -fuzz '^FuzzGreedyMatchesNaive$$' -fuzztime $(FUZZTIME) ./internal/lagrangian
 
 # bench measures the hot substrates (5 repetitions each, plus the
 # portfolio and the sharded reduction fixpoint under -cpu 1,2,4,8) and

@@ -393,7 +393,7 @@ func BenchmarkSubgradient(b *testing.B) {
 	q, _ := p.Compact()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := lagrangian.Subgradient(q, lagrangian.Params{}, nil, 0)
+		res := lagrangian.Subgradient(q, lagrangian.Params{}, nil, 0, nil, nil)
 		if res.Best == nil {
 			b.Fatal("no solution")
 		}

@@ -7,9 +7,12 @@
 //	go test -run '^$' -bench . -benchtime 1x -count 5 . | benchfmt -o BENCH_pr5.json
 //
 // With -against it also diffs the run against a committed baseline and
-// exits non-zero on regression (`make bench-diff`).  A baseline that is
-// missing, unreadable, malformed or empty is itself a failure — a CI
-// gate must never pass because its reference quietly vanished:
+// exits non-zero on regression (`make bench-diff`): a timing or
+// allocation growth past its tolerance, or any work counter (a metric
+// other than ns/op, B/op and allocs/op) that differs from the baseline
+// or between repetitions.  A baseline that is missing, unreadable,
+// malformed or empty is itself a failure — a CI gate must never pass
+// because its reference quietly vanished:
 //
 //	go test -run '^$' -bench . -benchtime 1x -count 3 . | benchfmt -against BENCH_pr4.json
 package main
@@ -202,7 +205,9 @@ func loadBaseline(path string) (*Doc, error) {
 // portfolio's sync.Pool behaviour is scheduler-dependent, so its count
 // jitters by a few per-op in the hundreds of thousands between runs; a
 // 0.5% allowance absorbs that while a real leak (orders of magnitude
-// larger) still fails.
+// larger) still fails.  Every other metric is a work counter the
+// benchmark reports (cost, core rows, nodes, ...); the solvers are
+// bit-identical by contract, so those are gated exactly.
 const (
 	maxNsGrowth     = 0.75
 	minNsSlack      = 100e3 // 100µs
@@ -211,7 +216,8 @@ const (
 
 // compare prints a per-benchmark delta table of the current document
 // against a baseline and reports whether the gate passes.  Metrics are
-// compared on their minima (the least-noise repetition); benchmarks or
+// compared on their minima (the least-noise repetition), and a work
+// counter must also read the same in every repetition; benchmarks or
 // metrics absent from the baseline are reported but never fail.
 func compare(w io.Writer, doc, base *Doc, name string) bool {
 	fmt.Fprintf(w, "\nvs %s:\n", name)
@@ -239,12 +245,24 @@ func compare(w io.Writer, doc, base *Doc, name string) bool {
 				continue
 			}
 			verdict := ""
-			switch {
-			case unit == "allocs/op" && s.Min > bs.Min*(1+maxAllocsGrowth):
-				verdict = "REGRESSION (allocation growth)"
-				ok = false
-			case unit == "ns/op" && bs.Min > 0 && s.Min > bs.Min*(1+maxNsGrowth)+minNsSlack:
-				verdict = fmt.Sprintf("REGRESSION (>%d%% slower)", int(maxNsGrowth*100))
+			switch unit {
+			case "allocs/op":
+				if s.Min > bs.Min*(1+maxAllocsGrowth) {
+					verdict = "REGRESSION (allocation growth)"
+				}
+			case "ns/op":
+				if bs.Min > 0 && s.Min > bs.Min*(1+maxNsGrowth)+minNsSlack {
+					verdict = fmt.Sprintf("REGRESSION (>%d%% slower)", int(maxNsGrowth*100))
+				}
+			case "B/op": // tracks allocs/op, which is gated above
+			default:
+				if s.Max != s.Min {
+					verdict = fmt.Sprintf("REGRESSION (work counter varies: %g..%g)", s.Min, s.Max)
+				} else if s.Min != bs.Min {
+					verdict = "REGRESSION (work counter differs)"
+				}
+			}
+			if verdict != "" {
 				ok = false
 			}
 			delta := "n/a"

@@ -114,3 +114,33 @@ func TestParseLine(t *testing.T) {
 		t.Error("PASS line parsed as a benchmark")
 	}
 }
+
+// Work counters — every metric but ns/op, B/op and allocs/op — are
+// gated exactly: a value off the baseline or one that varies across
+// repetitions fails, while B/op may move freely.
+func TestAgainstGatesWorkCountersExactly(t *testing.T) {
+	base := writeFile(t, "base.json", `{"summary": {"BenchmarkFoo-8": {
+		"B/op": {"count": 2, "min": 1024, "mean": 1024, "max": 1024},
+		"cost/op": {"count": 2, "min": 47, "mean": 47, "max": 47}}}}`)
+	line := func(bytes, cost string) string {
+		return "BenchmarkFoo-8   	      10	   1000000 ns/op	" + bytes + " B/op	      12 allocs/op	" + cost + " cost/op\n"
+	}
+	cases := []struct {
+		name, stream, want string
+	}{
+		{"equal", line("2048", "47") + line("4096", "47"), "no regressions"},
+		{"differs", line("1024", "48") + line("1024", "48"), "work counter differs"},
+		{"varies", line("1024", "47") + line("1024", "48"), "work counter varies"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, _ := runWith(t, tc.stream, "-against", base)
+			if pass := tc.want == "no regressions"; (code == 0) != pass {
+				t.Fatalf("exit %d, want pass=%v:\n%s", code, pass, stdout)
+			}
+			if !strings.Contains(stdout, tc.want) {
+				t.Errorf("output does not say %q:\n%s", tc.want, stdout)
+			}
+		})
+	}
+}

@@ -36,7 +36,7 @@ func TestFigure1Properties(t *testing.T) {
 	if !lagrangian.DualFeasible(p, []float64{1, 1, 0, 0}, 1e-12) {
 		t.Fatal("m = (1,1,0,0) infeasible")
 	}
-	_, da := lagrangian.DualAscent(p, nil)
+	_, da := lagrangian.DualAscent(p, nil, nil)
 	if math.Abs(da-2) > 1e-9 {
 		t.Fatalf("dual ascent = %v, want 2", da)
 	}
@@ -78,7 +78,7 @@ func TestFigure1Properties(t *testing.T) {
 	// Uniform variant: MIS = DA = 1.
 	u := Figure1Uniform()
 	misU, _ := matrix.MISBound(u)
-	_, daU := lagrangian.DualAscent(u, nil)
+	_, daU := lagrangian.DualAscent(u, nil, nil)
 	if misU != 1 || math.Abs(daU-1) > 1e-9 {
 		t.Fatalf("uniform MIS/DA = %d/%v, want 1/1", misU, daU)
 	}

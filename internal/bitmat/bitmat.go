@@ -1,9 +1,8 @@
 // Package bitmat provides a dense bit-matrix representation of a
-// covering problem's row/column incidence together with word-parallel
-// kernels for the operations every solver layer hammers: subset tests
-// (row and column dominance), popcounts (essentiality, coverage
-// counting) and masked intersections (greedy cover updates, coverage
-// of a candidate solution).
+// covering problem's row/column incidence, whose word-parallel subset
+// tests carry the dense reduction engine's row and column dominance
+// passes, plus the bitsets and fused float gathers the subgradient
+// engine's incremental updates run on.
 //
 // The layout is the DenseQMC insight applied to the paper's explicit
 // phase: a row is one strip of ⌈ncols/64⌉ uint64 words, a column one
@@ -11,8 +10,7 @@
 // dominance checks on either axis are straight word loops.  On the
 // cyclic cores this library actually solves (hundreds of rows and
 // columns), a subset test is a handful of AND-NOT words instead of a
-// merge over sorted []int slices, and a coverage count is a popcount
-// instead of a map probe per element.
+// merge over sorted []int slices.
 //
 // The package is dependency-free; internal/matrix decides when the
 // dense representation pays off (see matrix.DenseEligible) and falls
@@ -28,9 +26,6 @@ func Words(n int) int { return (n + 63) >> wordShift }
 
 // Vec is a fixed-capacity bitset backed by 64-bit words.
 type Vec []uint64
-
-// NewVec returns an all-zero bitset able to hold n bits.
-func NewVec(n int) Vec { return make(Vec, Words(n)) }
 
 // Set sets bit i.
 func (v Vec) Set(i int) { v[i>>wordShift] |= 1 << (uint(i) & 63) }
@@ -48,29 +43,6 @@ func (v Vec) Zero() {
 	}
 }
 
-// SetAll sets bits 0..n-1 in whole words (n must be the bit capacity
-// the vector was allocated for, so no word extends past it).
-func (v Vec) SetAll(n int) {
-	for k := range v {
-		v[k] = ^uint64(0)
-	}
-	if tail := uint(n) & 63; tail != 0 && len(v) > 0 {
-		v[len(v)-1] = (1 << tail) - 1
-	}
-}
-
-// Copy overwrites v with w (equal word counts).
-func (v Vec) Copy(w Vec) { copy(v, w) }
-
-// Popcount returns the number of set bits.
-func (v Vec) Popcount() int {
-	n := 0
-	for _, w := range v {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // SubsetOf reports v ⊆ w.
 func (v Vec) SubsetOf(w Vec) bool {
 	for k, x := range v {
@@ -79,61 +51,6 @@ func (v Vec) SubsetOf(w Vec) bool {
 		}
 	}
 	return true
-}
-
-// Equal reports v == w.
-func (v Vec) Equal(w Vec) bool {
-	for k, x := range v {
-		if x != w[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// AndPopcount returns |v ∩ w| without materialising the intersection.
-func (v Vec) AndPopcount(w Vec) int {
-	n := 0
-	for k, x := range v {
-		n += bits.OnesCount64(x & w[k])
-	}
-	return n
-}
-
-// Intersects reports whether v ∩ w is non-empty.
-func (v Vec) Intersects(w Vec) bool {
-	for k, x := range v {
-		if x&w[k] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Or folds w into v.
-func (v Vec) Or(w Vec) {
-	for k := range v {
-		v[k] |= w[k]
-	}
-}
-
-// AndNot removes w's bits from v.
-func (v Vec) AndNot(w Vec) {
-	for k := range v {
-		v[k] &^= w[k]
-	}
-}
-
-// AndNotPopcount removes w's bits from v and returns the number of
-// bits still set, in one pass over the words.
-func (v Vec) AndNotPopcount(w Vec) int {
-	n := 0
-	for k := range v {
-		x := v[k] &^ w[k]
-		v[k] = x
-		n += bits.OnesCount64(x)
-	}
-	return n
 }
 
 // Range calls fn for every set bit in ascending order until fn returns
@@ -200,38 +117,17 @@ func New(nrows, ncols int) *Matrix {
 	return m
 }
 
-// Build loads a sparse row list (column ids per row, ids < ncols) into
-// a dense matrix.
-func Build(rows [][]int, ncols int) *Matrix {
-	m := New(len(rows), ncols)
-	for i, r := range rows {
-		for _, j := range r {
-			m.SetBit(i, j)
-		}
-	}
-	return m
-}
-
 // SetBit sets entry (i, j) in both orientations.
 func (m *Matrix) SetBit(i, j int) {
 	m.Row(i).Set(j)
 	m.Col(j).Set(i)
 }
 
-// Has reports entry (i, j).
-func (m *Matrix) Has(i, j int) bool { return m.Row(i).Has(j) }
-
 // Row returns the row-i bitset over columns (a live view, not a copy).
 func (m *Matrix) Row(i int) Vec { return Vec(m.row[i*m.rw : (i+1)*m.rw]) }
 
 // Col returns the column-j bitset over rows (a live view, not a copy).
 func (m *Matrix) Col(j int) Vec { return Vec(m.col[j*m.cw : (j+1)*m.cw]) }
-
-// RowLen returns the popcount of row i.
-func (m *Matrix) RowLen(i int) int { return m.Row(i).Popcount() }
-
-// ColLen returns the popcount of column j.
-func (m *Matrix) ColLen(j int) int { return m.Col(j).Popcount() }
 
 // KillRow zeroes row i in both orientations.
 func (m *Matrix) KillRow(i int) {
@@ -249,23 +145,4 @@ func (m *Matrix) KillCol(j int) {
 		return true
 	})
 	m.Col(j).Zero()
-}
-
-// CoverCounts writes, for every row, the number of its columns present
-// in sel (a bitset over columns).  out must have NRows entries.
-func (m *Matrix) CoverCounts(sel Vec, out []int) {
-	for i := 0; i < m.NRows; i++ {
-		out[i] = m.Row(i).AndPopcount(sel)
-	}
-}
-
-// IsCover reports whether every row intersects sel (a bitset over
-// columns).  Rows that are entirely empty count as uncovered.
-func (m *Matrix) IsCover(sel Vec) bool {
-	for i := 0; i < m.NRows; i++ {
-		if !m.Row(i).Intersects(sel) {
-			return false
-		}
-	}
-	return true
 }

@@ -33,35 +33,35 @@ func naiveSubset(a, b []int) bool {
 	return true
 }
 
+// build loads a sparse row list into a fresh matrix.
+func build(rows [][]int, ncols int) *Matrix {
+	m := New(len(rows), ncols)
+	for i, r := range rows {
+		for _, j := range r {
+			m.SetBit(i, j)
+		}
+	}
+	return m
+}
+
 func TestVecOpsAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		universe := 1 + rng.Intn(300) // spans 1..5 words incl. partial tails
 		sets := randSets(rng, 2, universe)
-		a, b := NewVec(universe), NewVec(universe)
+		a, b := GrowVec(nil, universe), GrowVec(nil, universe)
 		for _, j := range sets[0] {
 			a.Set(j)
 		}
 		for _, j := range sets[1] {
 			b.Set(j)
 		}
-		if got, want := a.Popcount(), len(sets[0]); got != want {
-			t.Fatalf("popcount %d != %d", got, want)
+		subset := naiveSubset(sets[0], sets[1])
+		if got := a.SubsetOf(b); got != subset {
+			t.Fatalf("subset %v != %v (%v vs %v)", got, subset, sets[0], sets[1])
 		}
-		if got, want := a.SubsetOf(b), naiveSubset(sets[0], sets[1]); got != want {
-			t.Fatalf("subset %v != %v (%v vs %v)", got, want, sets[0], sets[1])
-		}
-		inter := 0
-		for _, j := range sets[0] {
-			if b.Has(j) {
-				inter++
-			}
-		}
-		if got := a.AndPopcount(b); got != inter {
-			t.Fatalf("and-popcount %d != %d", got, inter)
-		}
-		if got, want := a.Intersects(b), inter > 0; got != want {
-			t.Fatalf("intersects %v != %v", got, want)
+		if subset && a.Fold()&^b.Fold() != 0 {
+			t.Fatalf("fold signature rejects a true subset (%v vs %v)", sets[0], sets[1])
 		}
 		var bitsOut []int
 		bitsOut = a.Bits(bitsOut[:0])
@@ -73,25 +73,20 @@ func TestVecOpsAgainstNaive(t *testing.T) {
 				t.Fatal("bits not ascending")
 			}
 		}
-		c := NewVec(universe)
-		c.Copy(a)
-		c.AndNot(b)
 		for _, j := range sets[0] {
-			if c.Has(j) == b.Has(j) {
-				t.Fatal("andnot wrong")
+			a.Clear(j)
+			if a.Has(j) {
+				t.Fatal("clear left the bit set")
 			}
 		}
-		c.Or(b)
-		for _, j := range sets[1] {
-			if !c.Has(j) {
-				t.Fatal("or wrong")
-			}
+		if a.First() != -1 {
+			t.Fatal("clearing every bit left a set bit")
 		}
 	}
 }
 
 func TestVecFirstRangeEarlyStop(t *testing.T) {
-	v := NewVec(200)
+	v := GrowVec(nil, 200)
 	if v.First() != -1 {
 		t.Fatal("empty vec has a first bit")
 	}
@@ -115,7 +110,7 @@ func TestMatrixViewsStayInSync(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		nr, nc := 1+rng.Intn(80), 1+rng.Intn(130)
 		rows := randSets(rng, nr, nc)
-		m := Build(rows, nc)
+		m := build(rows, nc)
 		check := func() {
 			for i := 0; i < nr; i++ {
 				for j := 0; j < nc; j++ {
@@ -135,49 +130,5 @@ func TestMatrixViewsStayInSync(t *testing.T) {
 			}
 		}
 		check()
-		for i := 0; i < nr; i++ {
-			if m.RowLen(i) != m.Row(i).Popcount() {
-				t.Fatal("rowlen mismatch")
-			}
-		}
-	}
-}
-
-func TestCoverKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		nr, nc := 1+rng.Intn(60), 1+rng.Intn(90)
-		rows := randSets(rng, nr, nc)
-		m := Build(rows, nc)
-		sel := NewVec(nc)
-		var chosen []int
-		for j := 0; j < nc; j++ {
-			if rng.Intn(3) == 0 {
-				sel.Set(j)
-				chosen = append(chosen, j)
-			}
-		}
-		counts := make([]int, nr)
-		m.CoverCounts(sel, counts)
-		allCovered := true
-		for i, r := range rows {
-			want := 0
-			for _, j := range r {
-				for _, c := range chosen {
-					if c == j {
-						want++
-					}
-				}
-			}
-			if counts[i] != want {
-				t.Fatalf("row %d count %d != %d", i, counts[i], want)
-			}
-			if want == 0 {
-				allCovered = false
-			}
-		}
-		if m.IsCover(sel) != allCovered {
-			t.Fatalf("iscover %v != %v", m.IsCover(sel), allCovered)
-		}
 	}
 }

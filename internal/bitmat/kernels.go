@@ -26,33 +26,6 @@ func GatherSub(base float64, idx []int, v []float64) float64 {
 	return acc
 }
 
-// Sum folds v left to right.
-func Sum(v []float64) float64 {
-	acc := 0.0
-	for _, x := range v {
-		acc += x
-	}
-	return acc
-}
-
-// DotInts returns Σ v[j]·float64(c[j]), accumulating in index order.
-func DotInts(v []float64, c []int) float64 {
-	acc := 0.0
-	for j, x := range v {
-		acc += x * float64(c[j])
-	}
-	return acc
-}
-
-// SumSquares returns Σ v[j]², accumulating in index order.
-func SumSquares(v []float64) float64 {
-	acc := 0.0
-	for _, x := range v {
-		acc += x * x
-	}
-	return acc
-}
-
 // GrowVec returns an all-zero bitset able to hold n bits, reusing v's
 // backing array when it is large enough.
 func GrowVec(v Vec, n int) Vec {
@@ -63,37 +36,4 @@ func GrowVec(v Vec, n int) Vec {
 	v = v[:w]
 	v.Zero()
 	return v
-}
-
-// Reset reshapes m to an all-zero nrows × ncols matrix, reusing the
-// backing arrays when they are large enough — the scratch-pool path of
-// the restart portfolio rebuilds its dense sidecar here once per
-// subgradient phase instead of allocating one.
-func (m *Matrix) Reset(nrows, ncols int) {
-	m.NRows, m.NCols = nrows, ncols
-	m.rw, m.cw = Words(ncols), Words(nrows)
-	rn, cn := nrows*m.rw, ncols*m.cw
-	if cap(m.row) < rn {
-		m.row = make([]uint64, rn)
-	} else {
-		m.row = m.row[:rn]
-		clear(m.row)
-	}
-	if cap(m.col) < cn {
-		m.col = make([]uint64, cn)
-	} else {
-		m.col = m.col[:cn]
-		clear(m.col)
-	}
-}
-
-// BuildFrom loads a sparse row list into m, reusing its backing arrays
-// (the reusable counterpart of Build).
-func (m *Matrix) BuildFrom(rows [][]int, ncols int) {
-	m.Reset(len(rows), ncols)
-	for i, r := range rows {
-		for _, j := range r {
-			m.SetBit(i, j)
-		}
-	}
 }

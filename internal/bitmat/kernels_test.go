@@ -40,34 +40,6 @@ func TestGatherSubBitIdentical(t *testing.T) {
 	}
 }
 
-func TestFoldKernelsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(50)
-		v := make([]float64, n)
-		c := make([]int, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-			c[i] = rng.Intn(1000)
-		}
-		sum, dot, sq := 0.0, 0.0, 0.0
-		for i := range v {
-			sum += v[i]
-			dot += v[i] * float64(c[i])
-			sq += v[i] * v[i]
-		}
-		if got := Sum(v); math.Float64bits(got) != math.Float64bits(sum) {
-			t.Fatal("Sum differs from left-to-right fold")
-		}
-		if got := DotInts(v, c); math.Float64bits(got) != math.Float64bits(dot) {
-			t.Fatal("DotInts differs from left-to-right fold")
-		}
-		if got := SumSquares(v); math.Float64bits(got) != math.Float64bits(sq) {
-			t.Fatal("SumSquares differs from left-to-right fold")
-		}
-	}
-}
-
 func TestGrowVec(t *testing.T) {
 	var v Vec
 	v = GrowVec(v, 100)
@@ -81,72 +53,12 @@ func TestGrowVec(t *testing.T) {
 	if &w[0] != &v[0] {
 		t.Fatal("GrowVec reallocated although capacity sufficed")
 	}
-	if w.Popcount() != 0 {
+	if w.First() != -1 {
 		t.Fatal("GrowVec returned a non-zero bitset")
 	}
 	// Growing past capacity allocates fresh zeros.
 	g := GrowVec(w, 1000)
-	if len(g) != Words(1000) || g.Popcount() != 0 {
+	if len(g) != Words(1000) || g.First() != -1 {
 		t.Fatal("GrowVec grow path wrong")
-	}
-}
-
-func randRows(rng *rand.Rand, nr, nc int) [][]int {
-	rows := make([][]int, nr)
-	for i := range rows {
-		for j := 0; j < nc; j++ {
-			if rng.Intn(3) == 0 {
-				rows[i] = append(rows[i], j)
-			}
-		}
-	}
-	return rows
-}
-
-func matricesEqual(a, b *Matrix) bool {
-	if a.NRows != b.NRows || a.NCols != b.NCols {
-		return false
-	}
-	for i := 0; i < a.NRows; i++ {
-		if !a.Row(i).Equal(b.Row(i)) {
-			return false
-		}
-	}
-	for j := 0; j < a.NCols; j++ {
-		if !a.Col(j).Equal(b.Col(j)) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestBuildFromMatchesBuild drives one reused Matrix through a shrinking
-// and growing sequence of shapes; after every BuildFrom it must be
-// indistinguishable from a freshly Build-ed matrix.
-func TestBuildFromMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var m Matrix
-	for _, shape := range [][2]int{{70, 130}, {5, 9}, {64, 64}, {130, 70}, {1, 1}, {200, 3}} {
-		nr, nc := shape[0], shape[1]
-		rows := randRows(rng, nr, nc)
-		m.BuildFrom(rows, nc)
-		fresh := Build(rows, nc)
-		if !matricesEqual(&m, fresh) {
-			t.Fatalf("BuildFrom(%dx%d) differs from Build", nr, nc)
-		}
-	}
-}
-
-func TestResetZeroes(t *testing.T) {
-	var m Matrix
-	m.Reset(10, 10)
-	for i := 0; i < 10; i++ {
-		m.SetBit(i, i)
-	}
-	m.Reset(10, 10)
-	for i := 0; i < 10; i++ {
-		if m.Row(i).Popcount() != 0 {
-			t.Fatal("Reset left stale bits")
-		}
 	}
 }

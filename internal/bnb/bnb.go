@@ -14,7 +14,6 @@ import (
 	"sort"
 	"time"
 
-	"ucp/internal/bitmat"
 	"ucp/internal/budget"
 	"ucp/internal/canon"
 	"ucp/internal/greedy"
@@ -207,23 +206,13 @@ func solve(p *matrix.Problem, opt Options) *Result {
 	return res
 }
 
-// verifyCover asserts — on instances small and dense enough for the
-// word-parallel kernel — that the incumbent really covers every row
+// verifyCover asserts that the incumbent really covers every row
 // before it leaves the solver.  bnb is the optimality oracle of the
 // whole test-suite, so a corrupted incumbent must fail loudly here
-// rather than silently certify wrong "optima" downstream.  One
-// bit-matrix build and an AND-sweep per solve: negligible next to the
-// search itself.
+// rather than silently certify wrong "optima" downstream.  One O(nnz)
+// check per solve: negligible next to the search itself.
 func verifyCover(p *matrix.Problem, sol []int) {
-	if !matrix.DenseEligible(p) {
-		return
-	}
-	bm := bitmat.Build(p.Rows, p.NCol)
-	sel := bitmat.NewVec(p.NCol)
-	for _, j := range sol {
-		sel.Set(j)
-	}
-	if !bm.IsCover(sel) {
+	if !p.IsCover(sol) {
 		panic("bnb: incumbent solution is not a cover")
 	}
 }

@@ -90,6 +90,18 @@ func TestSolveInfeasible(t *testing.T) {
 	}
 }
 
+// TestVerifyCoverPanicsOnNonCover: the incumbent check must fire on
+// every instance, including one too small for a bit-matrix.
+func TestVerifyCoverPanicsOnNonCover(t *testing.T) {
+	p := matrix.MustNew([][]int{{0}, {1}, {2}}, 3, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("verifyCover accepted a non-cover of a 3-row problem")
+		}
+	}()
+	verifyCover(p, []int{0, 1})
+}
+
 func TestSolveEmpty(t *testing.T) {
 	p := matrix.MustNew(nil, 3, nil)
 	res := Solve(p, Options{})

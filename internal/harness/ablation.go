@@ -179,14 +179,14 @@ func AblationWarmStart() []WarmStartResult {
 		if len(core.Rows) == 0 {
 			continue
 		}
-		w := lagrangian.Subgradient(core, budget, nil, 0)
+		w := lagrangian.Subgradient(core, budget, nil, 0, nil, nil)
 		warm.TotalLB += w.LB
 		warm.Iters += w.Iters
 		zero := &lagrangian.Multipliers{
 			Lambda: make([]float64, len(core.Rows)),
 			Mu:     make([]float64, core.NCol),
 		}
-		c := lagrangian.Subgradient(core, budget, zero, 0)
+		c := lagrangian.Subgradient(core, budget, zero, 0, nil, nil)
 		cold.TotalLB += c.LB
 		cold.Iters += c.Iters
 	}

@@ -318,13 +318,13 @@ func Figure1() Figure1Report {
 	p := benchmarks.Figure1()
 	var r Figure1Report
 	r.MIS, _ = matrix.MISBound(p)
-	_, r.DualAscent = lagrangian.DualAscent(p, nil)
+	_, r.DualAscent = lagrangian.DualAscent(p, nil, nil)
 	r.LinearRel = lpValue(p)
 	r.Rounded = int(math.Ceil(r.LinearRel - 1e-9))
 	r.Optimum = bnb.Solve(p, bnbOpts(bnb.Options{})).Cost
 	u := benchmarks.Figure1Uniform()
 	r.UniformMIS, _ = matrix.MISBound(u)
-	_, r.UniformDA = lagrangian.DualAscent(u, nil)
+	_, r.UniformDA = lagrangian.DualAscent(u, nil, nil)
 	r.UniformLR = lpValue(u)
 	return r
 }
@@ -389,8 +389,8 @@ func BoundsStudy(n int) []BoundsRow {
 		q, _ := p.Compact()
 		row := BoundsRow{Seed: seed, Rows: len(q.Rows), Cols: q.NCol}
 		row.MIS, _ = matrix.MISBound(q)
-		_, row.DualAscent = lagrangian.DualAscent(q, nil)
-		sg := lagrangian.Subgradient(q, lagrangian.Params{}, nil, 0)
+		_, row.DualAscent = lagrangian.DualAscent(q, nil, nil)
+		sg := lagrangian.Subgradient(q, lagrangian.Params{}, nil, 0, nil, nil)
 		row.Lagrangian = sg.LB
 		row.LinearRel = lpValue(q)
 		row.Optimum = bnb.Solve(q, bnbOpts(bnb.Options{})).Cost

@@ -26,16 +26,12 @@ import (
 // holds; the second phase raises the variables of the least covered
 // rows as far as the slacks allow.  It returns m and its value e'm,
 // which is a lower bound on the optimum of p (LB_DA).
-func DualAscent(p *matrix.Problem, m0 []float64) ([]float64, float64) {
-	return DualAscentBudget(p, m0, nil)
-}
-
-// DualAscentBudget is DualAscent under a budget: the iterated
-// feasibility-restoring passes poll the tracker and, when the budget
-// runs out mid-restoration, the multipliers collapse to the all-zero
-// vector (trivially dual feasible, bound 0) so the returned value is
-// always a valid lower bound.
-func DualAscentBudget(p *matrix.Problem, m0 []float64, tr *budget.Tracker) ([]float64, float64) {
+//
+// The iterated feasibility-restoring passes poll tr (nil for no
+// budget); when the budget runs out mid-restoration the multipliers
+// collapse to the all-zero vector (trivially dual feasible, bound 0),
+// so the returned value is always a valid lower bound.
+func DualAscent(p *matrix.Problem, m0 []float64, tr *budget.Tracker) ([]float64, float64) {
 	var da daScratch
 	m, w := da.run(p, m0, tr)
 	if m == nil {

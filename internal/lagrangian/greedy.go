@@ -2,10 +2,8 @@ package lagrangian
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 
-	"ucp/internal/bitmat"
 	"ucp/internal/matrix"
 )
 
@@ -87,7 +85,7 @@ func GreedyLagrangian(p *matrix.Problem, ctilde []float64, v GammaVariant) []int
 	return append(make([]int, 0, len(sol)), sol...)
 }
 
-// greedySparse is the sparse greedy kernel against sc's buffers.  The
+// greedySparse is the greedy kernel against sc's buffers.  The
 // per-column "uncovered rows" counts (and, for the fourth variant,
 // scarcity weights) are maintained incrementally, so one full build
 // costs O(nnz + Σ picks·live) rather than O(picks·nnz); column row
@@ -98,8 +96,9 @@ func GreedyLagrangian(p *matrix.Problem, ctilde []float64, v GammaVariant) []int
 // covers all its rows, so n_j drops to zero and it can never recur —
 // and n only decreases within a build, so the live candidates form a
 // shrinking set kept as a swap-remove list.  The argmin visits that
-// list in arbitrary order, which betterGamma's total order makes
-// harmless.
+// list in arbitrary order, which is harmless: it ranks candidates by
+// the total order (γ, true cost, column id), so exactly one column is
+// the minimum whatever the visit order.
 //
 // rowCnt, when non-nil, must hold |{j ∈ row i : c̃_j ≤ 0}| for the
 // given ctilde (the subgradient engine maintains exactly this).  The
@@ -289,9 +288,9 @@ func (sc *Scratch) greedySparse(p *matrix.Problem, ctilde []float64, v GammaVari
 		nlg = nlog2Table(nr)
 	}
 	// Candidates all have c̃_j > 0 (non-positive ones were taken in the
-	// start solution), so smaller γ is better.  Each variant gets its
-	// own specialised scan — betterGamma with the short-circuits laid
-	// bare and no per-candidate dispatch.
+	// start solution), so smaller γ is better; ties go to the smaller
+	// true cost, then the smaller column id.  Each variant gets its own
+	// specialised scan, with no per-candidate dispatch.
 	cost := p.Cost
 	for gr.nCovered < nr {
 		best, bestGamma := -1, math.Inf(1)
@@ -382,152 +381,10 @@ func (sc *Scratch) prepGreedyWeights(p *matrix.Problem) {
 	}
 }
 
-// betterGamma is the full deterministic order on greedy candidates:
-// smaller rating first, then smaller true cost, then smaller column
-// id.  Spelling out the whole chain (instead of relying on the scan
-// direction to break the final tie) makes the argmin independent of
-// column visit order, which the sparse and dense greedy kernels — and
-// the parallel restart portfolio built on their determinism — require.
-func betterGamma(gamma, bestGamma float64, cost, bestCost, j, bestJ int) bool {
-	if gamma != bestGamma {
-		return gamma < bestGamma
-	}
-	if cost != bestCost {
-		return cost < bestCost
-	}
-	return j < bestJ
-}
-
-// GreedyLagrangianDense is GreedyLagrangian on a dense bit-matrix: the
-// covered-row set is a bitset, cover updates are word-wise ORs, and
-// the per-column uncovered counts are popcounts of column ∧ uncovered.
-// It produces exactly the same cover as the sparse kernel (same counts,
-// same ratings, same tie-breaks); the differential tests hold the two
-// to bit-equality.  The scarcity-weighted variant needs per-row float
-// weights, which bitsets cannot fold, so it stays on the sparse path.
-func GreedyLagrangianDense(p *matrix.Problem, bm *bitmat.Matrix, ctilde []float64, v GammaVariant) []int {
-	var sc Scratch
-	if v == GammaRowImportance {
-		sc.prepGreedyWeights(p)
-	}
-	sol := sc.greedyDense(p, bm, ctilde, v, nil)
-	if sol == nil {
-		return nil
-	}
-	return append(make([]int, 0, len(sol)), sol...)
-}
-
-// greedyDense is the dense greedy kernel against sc's buffers; bm must
-// hold exactly p.Rows.  Same contract as greedySparse.
-func (sc *Scratch) greedyDense(p *matrix.Problem, bm *bitmat.Matrix, ctilde []float64, v GammaVariant, rowCnt []int32) []int {
-	if v == GammaRowImportance {
-		return sc.greedySparse(p, ctilde, v, rowCnt)
-	}
-	nr, nc := len(p.Rows), p.NCol
-	gr := &sc.gr
-	gr.uncovered = bitmat.GrowVec(gr.uncovered, nr)
-	gr.uncovered.SetAll(nr)
-	left := nr
-	gr.inSol = growBool(gr.inSol, nc)
-	for j := range gr.inSol {
-		gr.inSol[j] = false
-	}
-	gr.sol = gr.sol[:0]
-
-	add := func(j int) {
-		gr.inSol[j] = true
-		gr.sol = append(gr.sol, j)
-		left = gr.uncovered.AndNotPopcount(bm.Col(j))
-	}
-
-	// Start from the relaxed solution.
-	for j := 0; j < nc; j++ {
-		if ctilde[j] <= 0 && bm.ColLen(j) > 0 {
-			add(j)
-		}
-	}
-
-	var lg, nlg []float64
-	switch v {
-	case GammaLog:
-		lg = log2Table(nr)
-	case GammaRowLog:
-		nlg = nlog2Table(nr)
-	}
-	// Per-pick candidate counts, gathered from the sparse rows of the
-	// still-uncovered set: n[j] built this way equals the bit-kernel
-	// count popcount(col_j ∧ uncovered) exactly, but costs O(uncovered
-	// nnz) instead of O(columns · words) — and after the relaxed start
-	// the uncovered set is typically tiny.  betterGamma is a total
-	// order, so the argmin does not depend on candidate visit order.
-	// gcnt is all-zero between picks (each scan resets the entries it
-	// touched), so reuse across builds needs no clearing pass.
-	gr.gcnt = growI32(gr.gcnt, nc)
-	cnt := gr.gcnt
-	cand := gr.cand[:0]
-	for left > 0 {
-		cand = cand[:0]
-		// Iterate the uncovered words directly (rather than Vec.Range)
-		// to spare a closure call per set bit on the hottest loop.
-		for wi, w := range gr.uncovered {
-			base := wi << 6
-			for w != 0 {
-				i := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				for _, j := range p.Rows[i] {
-					if cnt[j] == 0 {
-						cand = append(cand, int32(j))
-					}
-					cnt[j]++
-				}
-			}
-		}
-		best, bestGamma := -1, math.Inf(1)
-		for _, jj := range cand {
-			j := int(jj)
-			n := int(cnt[j])
-			cnt[j] = 0 // reset for the next pick as we scan
-			if gr.inSol[j] {
-				continue
-			}
-			var gamma float64
-			switch v {
-			case GammaPerRow:
-				gamma = ctilde[j] / float64(n)
-			case GammaLog:
-				gamma = ctilde[j] / lg[n]
-			case GammaRowLog:
-				gamma = ctilde[j] / nlg[n]
-			}
-			if best < 0 || betterGamma(gamma, bestGamma, p.Cost[j], p.Cost[best], j, best) {
-				best, bestGamma = j, gamma
-			}
-		}
-		gr.cand = cand
-		if best < 0 {
-			return nil // uncoverable row
-		}
-		add(best)
-	}
-	gr.cand = cand
-	return p.IrredundantUniqueWs(&gr.ws, gr.sol)
-}
-
-// BestGreedy runs all four rating variants against sc (nil for
-// throwaway scratch) and returns the cheapest resulting cover by true
-// cost, or nil if the problem is infeasible.  The returned slice is
-// backed by sc; callers that keep it must copy.
-func BestGreedy(p *matrix.Problem, sc *Scratch, ctilde []float64) []int {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	sc.attach(p)
-	return sc.bestGreedy(p, ctilde)
-}
-
-// bestGreedy is BestGreedy against sc's own dense sidecar (set up by
-// attach).  The winner is copied into sc.gr.bestBuf so later builds
-// cannot clobber it.
+// bestGreedy runs all four rating variants against sc (after attach)
+// and returns the cheapest resulting cover by true cost, or nil if the
+// problem is infeasible.  The winner is copied into sc.gr.bestBuf so
+// later builds cannot clobber it.
 func (sc *Scratch) bestGreedy(p *matrix.Problem, ctilde []float64) []int {
 	if sc.gr.bestBuf == nil {
 		sc.gr.bestBuf = make([]int, 0, p.NCol)
@@ -535,7 +392,7 @@ func (sc *Scratch) bestGreedy(p *matrix.Problem, ctilde []float64) []int {
 	found := false
 	bestCost := 0
 	for v := GammaPerRow; v <= GammaRowImportance; v++ {
-		sol := sc.greedyAuto(p, ctilde, v, nil)
+		sol := sc.greedySparse(p, ctilde, v, nil)
 		if sol == nil {
 			continue
 		}
@@ -549,16 +406,6 @@ func (sc *Scratch) bestGreedy(p *matrix.Problem, ctilde []float64) []int {
 		return nil
 	}
 	return sc.gr.bestBuf
-}
-
-// greedyAuto routes one greedy build to the dense or sparse kernel;
-// rowCnt is the engine's per-row count of c̃ ≤ 0 columns when the
-// caller maintains it (see greedySparse), nil otherwise.
-func (sc *Scratch) greedyAuto(p *matrix.Problem, ctilde []float64, v GammaVariant, rowCnt []int32) []int {
-	if sc.useDense && v != GammaRowImportance {
-		return sc.greedyDense(p, &sc.bm, ctilde, v, rowCnt)
-	}
-	return sc.greedySparse(p, ctilde, v, rowCnt)
 }
 
 // FloatCosts converts the integer cost vector of p to float64 for use

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ucp/internal/bitmat"
 	"ucp/internal/matrix"
 )
 
@@ -23,21 +22,11 @@ func refSubgradient(p *matrix.Problem, prm Params, init *Multipliers, ub0 int) *
 		return res
 	}
 
-	var bm *bitmat.Matrix
-	if matrix.DenseEligible(p) {
-		bm = bitmat.Build(p.Rows, p.NCol)
-	}
-	refGreedy := func(ctilde []float64, v GammaVariant) []int {
-		if bm != nil && v != GammaRowImportance {
-			return GreedyLagrangianDense(p, bm, ctilde, v)
-		}
-		return GreedyLagrangian(p, ctilde, v)
-	}
 	refBest := func(ctilde []float64) []int {
 		var best []int
 		bestCost := math.MaxInt
 		for v := GammaPerRow; v <= GammaRowImportance; v++ {
-			sol := refGreedy(ctilde, v)
+			sol := GreedyLagrangian(p, ctilde, v)
 			if sol == nil {
 				continue
 			}
@@ -63,7 +52,7 @@ func refSubgradient(p *matrix.Problem, prm Params, init *Multipliers, ub0 int) *
 		lambda = append([]float64(nil), init.Lambda...)
 		mu = append([]float64(nil), init.Mu...)
 	} else {
-		m, _ := DualAscentBudget(p, nil, nil)
+		m, _ := DualAscent(p, nil, nil)
 		lambda = m
 		mu = make([]float64, nc)
 		for _, j := range best {
@@ -122,7 +111,7 @@ func refSubgradient(p *matrix.Problem, prm Params, init *Multipliers, ub0 int) *
 		}
 
 		if improved || k%prm.GreedyEvery == 0 {
-			sol := refGreedy(ctilde, variant)
+			sol := GreedyLagrangian(p, ctilde, variant)
 			variant = (variant + 1) % 4
 			if sol != nil {
 				if c := p.CostOf(sol); c < res.BestCost {
@@ -297,13 +286,13 @@ func TestIncrementalMatchesReference(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		p := randomProblem(rng, 14, 14, 4)
 		want := refSubgradient(p, Params{}, nil, 0)
-		got := SubgradientScratch(p, Params{}, nil, 0, nil, sc)
+		got := Subgradient(p, Params{}, nil, 0, nil, sc)
 		compareResults(t, trial, got, want)
 
 		// Warm start from the cold result's multipliers.
 		init := &Multipliers{Lambda: want.Lambda, Mu: want.Mu}
 		want2 := refSubgradient(p, Params{}, init, 0)
-		got2 := SubgradientScratch(p, Params{}, init, 0, nil, sc)
+		got2 := Subgradient(p, Params{}, init, 0, nil, sc)
 		compareResults(t, trial, got2, want2)
 	}
 }
@@ -317,7 +306,7 @@ func TestIncrementalMatchesReferenceLarger(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		p := randomProblem(rng, 60, 80, 9)
 		want := refSubgradient(p, Params{}, nil, 0)
-		got := SubgradientScratch(p, Params{}, nil, 0, nil, sc)
+		got := Subgradient(p, Params{}, nil, 0, nil, sc)
 		compareResults(t, trial, got, want)
 	}
 }
@@ -395,7 +384,7 @@ func TestIncrementalCachesBitIdentical(t *testing.T) {
 	sc := &Scratch{}
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 20, 20, 5)
-		SubgradientScratch(p, Params{}, nil, 0, nil, sc)
+		Subgradient(p, Params{}, nil, 0, nil, sc)
 	}
 	if iters == 0 {
 		t.Fatal("debug hook never ran")
@@ -411,12 +400,12 @@ func TestExternalBoundKeepsBestConsistent(t *testing.T) {
 	tightened := 0
 	for trial := 0; trial < 120; trial++ {
 		p := randomProblem(rng, 10, 10, 4)
-		base := Subgradient(p, Params{}, nil, 0)
+		base := Subgradient(p, Params{}, nil, 0, nil, nil)
 		if base.Best == nil {
 			t.Fatalf("trial %d: no solution", trial)
 		}
 		for _, ub0 := range []int{base.BestCost, base.BestCost - 1, 1} {
-			res := Subgradient(p, Params{}, nil, ub0)
+			res := Subgradient(p, Params{}, nil, ub0, nil, nil)
 			if res.Best == nil {
 				t.Fatalf("trial %d: no solution with ub0=%d", trial, ub0)
 			}
@@ -454,8 +443,8 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		} else {
 			p = randomProblem(rng, 6, 40, 3)
 		}
-		got := SubgradientScratch(p, Params{}, nil, 0, nil, shared)
-		want := SubgradientScratch(p, Params{}, nil, 0, nil, &Scratch{})
+		got := Subgradient(p, Params{}, nil, 0, nil, shared)
+		want := Subgradient(p, Params{}, nil, 0, nil, &Scratch{})
 		compareResults(t, trial, got, want)
 	}
 }
@@ -477,7 +466,7 @@ func TestSubgradientSteadyStateAllocs(t *testing.T) {
 	var p *matrix.Problem
 	for seed := int64(1); seed < 64; seed++ {
 		q := randomProblem(rand.New(rand.NewSource(seed)), 60, 80, 19)
-		if r := SubgradientScratch(q, prm(n2), nil, 0, nil, sc); r.Iters == n2 {
+		if r := Subgradient(q, prm(n2), nil, 0, nil, sc); r.Iters == n2 {
 			p = q
 			break
 		}
@@ -486,10 +475,10 @@ func TestSubgradientSteadyStateAllocs(t *testing.T) {
 		t.Fatal("no probe instance ran the full iteration budget")
 	}
 	a1 := testing.AllocsPerRun(5, func() {
-		SubgradientScratch(p, prm(n1), nil, 0, nil, sc)
+		Subgradient(p, prm(n1), nil, 0, nil, sc)
 	})
 	a2 := testing.AllocsPerRun(5, func() {
-		SubgradientScratch(p, prm(n2), nil, 0, nil, sc)
+		Subgradient(p, prm(n2), nil, 0, nil, sc)
 	})
 	if a2 != a1 {
 		t.Fatalf("steady-state iterations allocate: %v allocs at %d iters vs %v at %d (%.3f allocs/iter)",

@@ -85,7 +85,7 @@ func TestDualAscentFeasibleAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
 		p := randomProblem(rng, 8, 8, 4)
-		m, w := DualAscent(p, nil)
+		m, w := DualAscent(p, nil, nil)
 		if !DualFeasible(p, m, 1e-9) {
 			t.Fatalf("trial %d: dual ascent infeasible", trial)
 		}
@@ -112,7 +112,7 @@ func TestBoundDominanceChain(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		p := randomProblem(rng, 8, 8, 3)
 		mis, _ := matrix.MISBound(p)
-		_, da := DualAscent(p, nil)
+		_, da := DualAscent(p, nil, nil)
 		lp := lpBound(p)
 		opt := bruteForce(p)
 		if float64(mis) > da+1e-6 {
@@ -155,7 +155,7 @@ func TestSubgradientBoundsAndOptimality(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		p := randomProblem(rng, 9, 9, 3)
 		opt := bruteForce(p)
-		res := Subgradient(p, Params{}, nil, 0)
+		res := Subgradient(p, Params{}, nil, 0, nil, nil)
 		if res.Best == nil {
 			t.Fatalf("trial %d: no solution on feasible problem", trial)
 		}
@@ -189,9 +189,9 @@ func TestSubgradientBoundsAndOptimality(t *testing.T) {
 func TestSubgradientWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	p := randomProblem(rng, 10, 10, 3)
-	res := Subgradient(p, Params{}, nil, 0)
+	res := Subgradient(p, Params{}, nil, 0, nil, nil)
 	init := &Multipliers{Lambda: res.Lambda, Mu: res.Mu}
-	res2 := Subgradient(p, Params{}, init, res.BestCost)
+	res2 := Subgradient(p, Params{}, init, res.BestCost, nil, nil)
 	if res2.LB < res.LB-1e-6 && !res2.ProvedOptimal {
 		// A warm start must not be catastrophically worse; allow tiny
 		// slack for the oscillating nature of the method.
@@ -203,7 +203,7 @@ func TestSubgradientWarmStart(t *testing.T) {
 
 func TestSubgradientEmptyProblem(t *testing.T) {
 	p, _ := matrix.New(nil, 0, nil)
-	res := Subgradient(p, Params{}, nil, 0)
+	res := Subgradient(p, Params{}, nil, 0, nil, nil)
 	if !res.ProvedOptimal || len(res.Best) != 0 || res.BestCost != 0 {
 		t.Fatal("empty problem should be trivially optimal")
 	}
@@ -213,7 +213,7 @@ func TestLagrangianPenaltiesSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 150; trial++ {
 		p := randomProblem(rng, 8, 8, 3)
-		res := Subgradient(p, Params{}, nil, 0)
+		res := Subgradient(p, Params{}, nil, 0, nil, nil)
 		if res.Best == nil {
 			continue
 		}
@@ -253,7 +253,7 @@ func TestDualPenaltiesSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 80; trial++ {
 		p := randomProblem(rng, 7, 7, 3)
-		res := Subgradient(p, Params{}, nil, 0)
+		res := Subgradient(p, Params{}, nil, 0, nil, nil)
 		if res.Best == nil {
 			continue
 		}
@@ -376,7 +376,7 @@ func TestSubgradientArbitraryInitStillSound(t *testing.T) {
 		for j := range init.Mu {
 			init.Mu[j] = rng.Float64()
 		}
-		res := Subgradient(p, Params{}, init, 0)
+		res := Subgradient(p, Params{}, init, 0, nil, nil)
 		if res.Best == nil {
 			t.Fatalf("trial %d: no solution", trial)
 		}

@@ -53,7 +53,7 @@ func DualPenalties(p *matrix.Problem, warm []float64, zBest int) *Penalties {
 		// (5): forbid column j; if even the dual bound of that
 		// subproblem reaches zBest, j must be taken.
 		p.Cost[j] = big
-		_, w0 := DualAscent(p, warm)
+		_, w0 := DualAscent(p, warm, nil)
 		p.Cost[j] = orig
 		if math.Ceil(w0-1e-9) >= float64(zBest) {
 			pen.FixIn = append(pen.FixIn, j)
@@ -62,7 +62,7 @@ func DualPenalties(p *matrix.Problem, warm []float64, zBest int) *Penalties {
 		// (6): force column j (cost 0 plus the constant c_j); if the
 		// bound reaches zBest, j can be excluded.
 		p.Cost[j] = 0
-		_, w1 := DualAscent(p, warm)
+		_, w1 := DualAscent(p, warm, nil)
 		p.Cost[j] = orig
 		if math.Ceil(w1+float64(orig)-1e-9) >= float64(zBest) {
 			pen.FixOut = append(pen.FixOut, j)

@@ -15,7 +15,7 @@ import (
 //
 // Ownership rules (see DESIGN.md §9):
 //   - a Scratch is single-owner state: one goroutine at a time, one
-//     SubgradientScratch call at a time;
+//     Subgradient call at a time;
 //   - nothing in a Scratch survives as part of a Result — every Result
 //     field is freshly copied — so reusing a Scratch (or pooling it
 //     across goroutines) cannot change any output;
@@ -42,26 +42,20 @@ type Scratch struct {
 	// negCt mirrors the sign of every cached c̃_j (bit j set ⇔ c̃_j ≤ 0)
 	// so both λ-refresh paths maintain cnt by sign flips alone.
 	negCt bitmat.Vec
-	// Dense sidecar for the greedy kernels, rebuilt in place per phase.
-	bm       bitmat.Matrix
-	useDense bool
 
 	gr greedyRun
 	da daScratch
 }
 
-// greedyRun is the per-build state of the greedy kernels.
+// greedyRun is the per-build state of the greedy kernel.
 type greedyRun struct {
 	covered   []bool
-	inSol     []bool
 	sol       []int
 	n         []int32
 	w         []float64
 	w0        []float64
 	rowWeight []float64
 	nCovered  int
-	uncovered bitmat.Vec
-	gcnt      []int32
 	cand      []int32
 	pos       []int32
 	// stamp/stampEpoch tell a column's first touch in the current
@@ -115,14 +109,11 @@ func growBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// attach sizes the phase-wide state for p: the dense sidecar (when the
-// problem qualifies) and the row cost minima c̄.
+// attach sizes the phase-wide state for p: the row cost minima c̄ and
+// the greedy's scarcity weights.
 func (sc *Scratch) attach(p *matrix.Problem) {
-	nr := len(p.Rows)
-	sc.cbar = growF64(sc.cbar, nr)
-	nnz := 0
+	sc.cbar = growF64(sc.cbar, len(p.Rows))
 	for i, r := range p.Rows {
-		nnz += len(r)
 		cb := math.Inf(1)
 		for _, j := range r {
 			if float64(p.Cost[j]) < cb {
@@ -130,17 +121,6 @@ func (sc *Scratch) attach(p *matrix.Problem) {
 			}
 		}
 		sc.cbar[i] = cb
-	}
-	// The dense greedy kernel regathers candidate counts from the
-	// uncovered rows on every pick, while the sparse kernel maintains
-	// them incrementally and pays an O(ncols) argmin instead.  The
-	// rescans only win when covering steps retire many rows at once —
-	// long rows — so route greedy to the bit kernel only above ~1/8
-	// density; both kernels build identical covers, making the split a
-	// pure cost decision.
-	sc.useDense = matrix.DenseEligible(p) && 8*nnz >= nr*p.NCol
-	if sc.useDense {
-		sc.bm.BuildFrom(p.Rows, p.NCol)
 	}
 	sc.prepGreedyWeights(p)
 }

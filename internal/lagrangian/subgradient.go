@@ -113,33 +113,24 @@ var debugIterCheck func(p *matrix.Problem, sc *Scratch)
 // a known feasible cost used as an external upper bound: it tightens
 // the stopping tests and step sizes but never masquerades as Best —
 // Result.BestCost is always the cost of Result.Best.
-func Subgradient(p *matrix.Problem, prm Params, init *Multipliers, ub0 int) *Result {
-	return SubgradientBudget(p, prm, init, ub0, nil)
-}
-
-// SubgradientBudget is Subgradient under a budget: every iteration is
-// charged to the tracker and the ascent stops as soon as the budget
-// runs out.  The result is still usable — the initial greedy solution
-// guarantees Best is a feasible cover (when one exists) even with zero
-// iterations, and LB only ever reports bounds actually certified by
-// some multiplier vector.
-func SubgradientBudget(p *matrix.Problem, prm Params, init *Multipliers, ub0 int, tr *budget.Tracker) *Result {
-	var sc Scratch
-	return SubgradientScratch(p, prm, init, ub0, tr, &sc)
-}
-
-// SubgradientScratch is SubgradientBudget against caller-owned
-// scratch, the allocation-free core the fixing loop and the restart
-// portfolio run on.  All per-iteration state — the lagrangian costs
-// c̃ = c − A'λ, the dual partials e_i = 1 − Σμ, the inner dual
-// solution m and its subgradient g = c − A'm — lives in sc and is
-// updated incrementally: a multiplier step regathers only the columns
-// (rows) whose value actually changed, over the problem's CSC mirror,
-// and each regather replays the exact subtraction sequence of a full
-// rebuild, so every float is bit-identical to the from-scratch
-// computation (see DESIGN.md §9).  Steady-state iterations perform no
-// heap allocation.
-func SubgradientScratch(p *matrix.Problem, prm Params, init *Multipliers, ub0 int, tr *budget.Tracker, sc *Scratch) *Result {
+//
+// Every iteration is charged to tr (nil for no budget) and the ascent
+// stops as soon as the budget runs out.  The result is still usable —
+// the initial greedy solution guarantees Best is a feasible cover (when
+// one exists) even with zero iterations, and LB only ever reports
+// bounds actually certified by some multiplier vector.
+//
+// sc is caller-owned scratch (nil for a throwaway one), which the
+// fixing loop and the restart portfolio reuse across phases.  All
+// per-iteration state — the lagrangian costs c̃ = c − A'λ, the dual
+// partials e_i = 1 − Σμ, the inner dual solution m and its subgradient
+// g = c − A'm — lives in sc and is updated incrementally: a multiplier
+// step regathers only the columns (rows) whose value actually changed,
+// over the problem's CSC mirror, and each regather replays the exact
+// subtraction sequence of a full rebuild, so every float is
+// bit-identical to the from-scratch computation (see DESIGN.md §9).
+// Steady-state iterations perform no heap allocation.
+func Subgradient(p *matrix.Problem, prm Params, init *Multipliers, ub0 int, tr *budget.Tracker, sc *Scratch) *Result {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -311,7 +302,7 @@ func SubgradientScratch(p *matrix.Problem, prm Params, init *Multipliers, ub0 in
 
 		// ----- primal heuristic on the lagrangian costs -----
 		if improved || k%prm.GreedyEvery == 0 {
-			sol := sc.greedyAuto(p, ctilde, variant, cnt)
+			sol := sc.greedySparse(p, ctilde, variant, cnt)
 			variant = (variant + 1) % 4
 			if sol != nil {
 				if c := p.CostOf(sol); c < res.BestCost {

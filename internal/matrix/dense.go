@@ -57,17 +57,6 @@ func DenseEligible(p *Problem) bool {
 	return bits <= denseMaxBits && bits <= denseDensityFactor*nnz
 }
 
-// IrredundantDense is Irredundant reading each column's row set from
-// the dense bit-matrix mirror bm of p (bm must hold exactly p.Rows):
-// the same removals in the same order — the single (cost desc,
-// position asc) pass, first-occurrence duplicates, monotone counts —
-// without the O(nnz) selection-CSR build the sparse version pays, so
-// the greedy heuristic can afford its per-build cleanup.
-func (p *Problem) IrredundantDense(bm *bitmat.Matrix, cols []int) []int {
-	var ws Workspace
-	return p.IrredundantDenseWs(&ws, bm, cols)
-}
-
 // denseReducer runs the essential / row-dominance / column-dominance
 // fixpoint on a bit-matrix with the column universe compacted to the
 // active columns.  Every pass mirrors the sparse engine exactly —

@@ -4,12 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"ucp/internal/bitmat"
 )
-
-// bitmatOf builds the dense mirror of p for the dense-kernel tests.
-func bitmatOf(p *Problem) *bitmat.Matrix { return bitmat.Build(p.Rows, p.NCol) }
 
 func randReduceProblem(rng *rand.Rand, maxRows, maxCols, maxCost int, allowEmpty bool) *Problem {
 	nr := 1 + rng.Intn(maxRows)
@@ -100,33 +95,6 @@ func TestDenseReductionOriginValid(t *testing.T) {
 				t.Fatalf("trial %d: core row %v not a subset of its origin %v",
 					trial, red.Core.Rows[i], p.Rows[o])
 			}
-		}
-	}
-}
-
-// TestIrredundantDenseAgrees: the bit-matrix cleanup must remove the
-// exact same columns as the sparse one on any selection, including
-// redundant oversized covers and duplicate entries.
-func TestIrredundantDenseAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 300; trial++ {
-		p := randReduceProblem(rng, 30, 30, 3, false)
-		bm := bitmatOf(p)
-		// An oversized selection: every column with a coin flip, plus a
-		// few duplicates.
-		var sel []int
-		for j := 0; j < p.NCol; j++ {
-			if rng.Intn(2) == 0 {
-				sel = append(sel, j)
-			}
-		}
-		for k := 0; k < 3 && len(sel) > 0; k++ {
-			sel = append(sel, sel[rng.Intn(len(sel))])
-		}
-		want := p.Irredundant(sel)
-		got := p.IrredundantDense(bm, sel)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: dense %v sparse %v (sel %v)", trial, got, want, sel)
 		}
 	}
 }

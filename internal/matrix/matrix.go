@@ -198,13 +198,13 @@ func (p *Problem) CostOf(cols []int) int {
 
 // Irredundant removes redundant columns from a cover, dropping the
 // highest-cost redundant column first, as the paper prescribes for the
-// final cleanup of p_best.  The input is not modified.  Coverage
-// counts are maintained incrementally, so the whole cleanup costs
-// O(nnz + removals·|cols|·degree).  The scratch-reusing variant is
-// IrredundantWs; this wrapper returns a fresh caller-owned slice.
+// final cleanup of p_best.  The input is not modified, and the result
+// is a fresh caller-owned slice.  Coverage counts are maintained
+// incrementally, so the whole cleanup costs
+// O(nnz + removals·|cols|·degree).
 func (p *Problem) Irredundant(cols []int) []int {
 	var ws Workspace
-	return p.IrredundantWs(&ws, cols)
+	return p.irredundantWs(&ws, cols, true)
 }
 
 func containsSorted(r []int, j int) bool {
@@ -356,9 +356,7 @@ func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, col
 	// identical fixpoint (same orders, same tie-breaks); the choice is
 	// purely a data-layout decision.  Tracing needs the sparse loop's
 	// witness bookkeeping, so it pins the sparse engine.
-	useDense := trace == nil &&
-		(reduceOverride == 2 || (reduceOverride == 0 && DenseEligible(p)))
-	if useDense {
+	if trace == nil && (reduceOverride == 2 || (reduceOverride == 0 && DenseEligible(p))) {
 		denseReduce(p, tr, res, workers)
 		sort.Ints(res.Essential)
 		return res

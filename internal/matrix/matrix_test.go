@@ -166,6 +166,10 @@ func TestIrredundantProperty(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		p := randomProblem(rng, 8, 8)
 		all := p.ActiveCols()
+		// Repeated entries own no rows, so they must go too.
+		for k := 0; k < 3 && len(all) > 0; k++ {
+			all = append(all, all[rng.Intn(len(all))])
+		}
 		sol := p.Irredundant(all)
 		if !p.IsCover(sol) {
 			t.Fatalf("trial %d: not a cover", trial)

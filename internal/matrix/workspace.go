@@ -3,8 +3,6 @@ package matrix
 import (
 	"slices"
 	"sort"
-
-	"ucp/internal/bitmat"
 )
 
 // Workspace holds the scratch buffers of the irredundant-cover
@@ -12,7 +10,7 @@ import (
 // build, hundreds of times per subgradient phase — can reuse them
 // instead of re-allocating.  Buffers grow to high-water marks and are
 // never shrunk.  A Workspace is single-owner state: it must not be
-// shared between goroutines, and the slice returned by the *Ws methods
+// shared between goroutines, and the slice IrredundantUniqueWs returns
 // is backed by the workspace, valid only until its next use.
 type Workspace struct {
 	coverCnt []int32
@@ -86,24 +84,20 @@ func removalOrder(ws *Workspace, cols []int, cost []int) []int32 {
 	return ws.order
 }
 
-// IrredundantWs is Irredundant against caller-owned scratch: identical
-// removals in the identical order, but every buffer (including the
-// returned slice) lives in ws.  The result is valid until the next use
-// of ws; callers that keep it must copy.
+// IrredundantUniqueWs is Irredundant against caller-owned scratch, for
+// callers that guarantee cols holds no duplicate column — the greedy
+// kernel, whose solutions list each column at most once by
+// construction (an added column covers all its rows, so it can never
+// be a candidate again).  It makes the identical removals in the
+// identical order, but every buffer (including the returned slice)
+// lives in ws; the result is valid until the next use of ws, and
+// callers that keep it must copy.  Skipping the duplicate scan saves
+// an O(ncols) clear per call on a path that runs after every greedy
+// build.
 //
 // Column row sets come from the problem's CSC mirror, so the whole
 // cleanup touches only the selected columns' entries — O(Σ|col_j|) for
 // j in cols — never the full matrix.
-func (p *Problem) IrredundantWs(ws *Workspace, cols []int) []int {
-	return p.irredundantWs(ws, cols, true)
-}
-
-// IrredundantUniqueWs is IrredundantWs for callers that guarantee cols
-// holds no duplicate column — the greedy kernels, whose solutions list
-// each column at most once by construction (an added column covers all
-// its rows, so it can never be a candidate again).  Skipping the
-// duplicate scan saves an O(ncols) clear per call on a path that runs
-// after every greedy build.
 func (p *Problem) IrredundantUniqueWs(ws *Workspace, cols []int) []int {
 	return p.irredundantWs(ws, cols, false)
 }
@@ -184,13 +178,4 @@ func (p *Problem) irredundantWs(ws *Workspace, cols []int, dedup bool) []int {
 		}
 	}
 	return ws.out
-}
-
-// IrredundantDenseWs is IrredundantDense against caller-owned scratch;
-// same contract as IrredundantWs.  bm must hold exactly p.Rows, so the
-// CSC mirror yields the same column row sets as bm's bit columns and
-// the two variants share one kernel.
-func (p *Problem) IrredundantDenseWs(ws *Workspace, bm *bitmat.Matrix, cols []int) []int {
-	_ = bm
-	return p.IrredundantWs(ws, cols)
 }

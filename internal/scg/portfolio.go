@@ -162,7 +162,7 @@ func (cs *compState) init(opt Options, tr *budget.Tracker, sc *lagrangian.Scratc
 		}
 		start = &lagrangian.Multipliers{Lambda: w.lambda, Mu: mu}
 	}
-	sg := lagrangian.SubgradientScratch(compact, opt.Params, start, 0, tr, sc)
+	sg := lagrangian.Subgradient(compact, opt.Params, start, 0, tr, sc)
 	cs.initIters = sg.Iters
 	if cs.capture && len(sg.Lambda) == len(cs.core.Rows) && len(sg.Mu) == compact.NCol {
 		cs.lambdaSnap = append([]float64(nil), sg.Lambda...)

@@ -99,7 +99,7 @@ func TestDirtyScratchPoolBitIdentical(t *testing.T) {
 			sc := &lagrangian.Scratch{}
 			drng := rand.New(rand.NewSource(dirtySeed))
 			q := randomProblem(drng, 25, 40, 6)
-			lagrangian.SubgradientScratch(q, lagrangian.Params{MaxIters: 25}, nil, 0, nil, sc)
+			lagrangian.Subgradient(q, lagrangian.Params{MaxIters: 25}, nil, 0, nil, sc)
 			return sc
 		}
 		for _, workers := range []int{1, 2, 4, 8} {

@@ -487,7 +487,7 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 			}
 			init = &lagrangian.Multipliers{Lambda: lambda, Mu: mu}
 		}
-		sg := lagrangian.SubgradientScratch(compact, opt.Params, init, 0, tr, sc)
+		sg := lagrangian.Subgradient(compact, opt.Params, init, 0, tr, sc)
 		sgIters += sg.Iters
 		if sg.Best == nil {
 			return nil, 0, coreLB, sgIters, steps

@@ -200,8 +200,8 @@ func LowerBounds(p *Problem) Bounds {
 	q, _ := p.Compact()
 	var b Bounds
 	b.MIS, _ = matrix.MISBound(q)
-	_, b.DualAscent = lagrangian.DualAscent(q, nil)
-	sg := lagrangian.Subgradient(q, lagrangian.Params{}, nil, 0)
+	_, b.DualAscent = lagrangian.DualAscent(q, nil, nil)
+	sg := lagrangian.Subgradient(q, lagrangian.Params{}, nil, 0, nil, nil)
 	b.Lagrangian = sg.LB
 	if len(q.Rows) == 0 {
 		b.Lagrangian = 0
