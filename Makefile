@@ -7,7 +7,7 @@ GO ?= go
 # interpretation).  The front-end benches live in ./internal/primes
 # (they need the unexported covering reference oracle) and get their
 # own pattern.
-SUBSTRATE_BENCH = BenchmarkZDDReductions$$|BenchmarkImplicitZDD$$|BenchmarkSubgradient$$|BenchmarkSCGCore$$|BenchmarkSCGPortfolio$$|BenchmarkReduceFixpoint$$|BenchmarkZDDGC$$|BenchmarkZDDChainNodes$$|BenchmarkSolveCached$$|BenchmarkBnBTransposition$$|BenchmarkDeltaResolve$$|BenchmarkShardedSolve$$
+SUBSTRATE_BENCH = BenchmarkZDDReductions$$|BenchmarkImplicitZDD$$|BenchmarkSubgradient$$|BenchmarkSCGCore$$|BenchmarkSCGPortfolio$$|BenchmarkSolveWide$$|BenchmarkReduceFixpoint$$|BenchmarkZDDGC$$|BenchmarkZDDChainNodes$$|BenchmarkSolveCached$$|BenchmarkBnBTransposition$$|BenchmarkDeltaResolve$$|BenchmarkShardedSolve$$
 FRONTEND_BENCH = BenchmarkPrimeGen$$|BenchmarkBuildCovering$$
 
 .PHONY: build test check bench-diff fuzz bench bench-all serve-smoke shard-smoke
@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeParsedPLA$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureSubset$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaReplay$$' -fuzztime $(FUZZTIME) ./internal/matrix
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitEssentials$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonFingerprint$$' -fuzztime $(FUZZTIME) ./internal/canon
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPrimesDense$$' -fuzztime $(FUZZTIME) ./internal/primes

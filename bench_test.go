@@ -436,6 +436,38 @@ func BenchmarkSCGPortfolio(b *testing.B) {
 	b.ReportMetric(float64(cost), "cost/op")
 }
 
+// BenchmarkSolveWide measures scg.Solve on the covering of the largest
+// function of the benchmark's pla-wide pool, RandomPLA(15841, 20, 3,
+// 80, 0.3, 0): many parts, most of them settled by their singleton
+// essentials alone, so the time goes to matrix.Partition and the
+// essential prepass rather than the portfolio.  The covering is built
+// outside the timer; corerows/op and parts/op are exact work counters.
+func BenchmarkSolveWide(b *testing.B) {
+	p, _, err := BuildCovering(benchmarks.RandomPLA(15841, 20, 3, 80, 0.3, 0), UnitCost)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := 1
+	if split := matrix.Partition(p); split != nil {
+		parts = len(split)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	core := -1
+	for i := 0; i < b.N; i++ {
+		res := scg.Solve(p, scg.Options{})
+		if res.Solution == nil {
+			b.Fatal("no solution")
+		}
+		if core >= 0 && core != res.Stats.CoreRows {
+			b.Fatalf("nondeterministic solve: %d then %d core rows", core, res.Stats.CoreRows)
+		}
+		core = res.Stats.CoreRows
+	}
+	b.ReportMetric(float64(core), "corerows/op")
+	b.ReportMetric(float64(parts), "parts/op")
+}
+
 // BenchmarkSolveCached measures the cross-solve cache against repeated
 // resubmission of the same covering problem: the uncached sub-bench
 // pays the full ZDD_SCG solve every iteration, the cached one pays it

@@ -178,3 +178,80 @@ func TestCompactSparseMatchesCompact(t *testing.T) {
 		}
 	}
 }
+
+// componentsBFS is the oracle for Components: a breadth-first search
+// over rows, two rows adjacent when they share a column, started from
+// each unvisited row in index order.  It returns each component's
+// sorted row indices.
+func componentsBFS(p *Problem) [][]int {
+	colRows := p.ColumnRows()
+	seen := make([]bool, len(p.Rows))
+	var out [][]int
+	for s := range p.Rows {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		comp := []int{s}
+		for q := 0; q < len(comp); q++ {
+			for _, j := range p.Rows[comp[q]] {
+				for _, i := range colRows[j] {
+					if !seen[i] {
+						seen[i] = true
+						comp = append(comp, i)
+					}
+				}
+			}
+		}
+		sort.Ints(comp)
+		out = append(out, comp)
+	}
+	return out
+}
+
+// TestComponentsMatchesBFS: Components finds the oracle's parts in the
+// oracle's order with the same RowIdx, each part's rows alias the
+// input's, and Partition is nil exactly when there is at most one part.
+func TestComponentsMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	problems := []*Problem{
+		MustNew(nil, 0, nil),
+		MustNew(nil, 4, nil),
+		MustNew([][]int{{}, {}}, 2, nil),
+		MustNew([][]int{{0, 1}, {}, {1, 2}, {3}, {}, {3, 4}, {5}}, 6, nil),
+	}
+	for trial := 0; trial < 200; trial++ {
+		nr, nc := rng.Intn(40), 1+rng.Intn(30)
+		rows := make([][]int, nr)
+		for i := range rows {
+			for k := rng.Intn(4); k > 0; k-- { // 0 to 3 columns: empty rows and singletons are common
+				rows[i] = append(rows[i], rng.Intn(nc))
+			}
+		}
+		problems = append(problems, MustNew(rows, nc, nil))
+	}
+	for n, p := range problems {
+		want := componentsBFS(p)
+		got := Components(p)
+		if len(got) != len(want) {
+			t.Fatalf("problem %d: %d components, oracle %d", n, len(got), len(want))
+		}
+		for k, c := range got {
+			if !reflect.DeepEqual(c.RowIdx, want[k]) {
+				t.Fatalf("problem %d: component %d rows %v, oracle %v", n, k, c.RowIdx, want[k])
+			}
+			if c.Problem.NCol != p.NCol || len(c.Problem.Rows) != len(c.RowIdx) {
+				t.Fatalf("problem %d: component %d has %d rows over %d columns", n, k, len(c.Problem.Rows), c.Problem.NCol)
+			}
+			for t2, i := range c.RowIdx {
+				r := c.Problem.Rows[t2]
+				if len(r) != len(p.Rows[i]) || (len(r) > 0 && &r[0] != &p.Rows[i][0]) {
+					t.Fatalf("problem %d: component %d row %d does not alias input row %d", n, k, t2, i)
+				}
+			}
+		}
+		if split := Partition(p); (split == nil) != (len(want) <= 1) || (split != nil && len(split) != len(got)) {
+			t.Fatalf("problem %d: Partition gave %d parts for %d components", n, len(split), len(want))
+		}
+	}
+}

@@ -256,6 +256,51 @@ func ReduceBudgetWorkers(p *Problem, tr *budget.Tracker, workers int) *Reduction
 	return reduce(p, tr, workers, nil, nil)
 }
 
+// SplitEssentials is the reduction fixpoint's first step on its own:
+// an empty row makes p infeasible, the column of every singleton row
+// is essential, and every row an essential covers leaves.  ess is
+// ascending; rest holds the remaining rows, aliasing p's, and kept
+// lists their indices in p.  Without a singleton row it returns p
+// itself and a nil kept, allocating nothing.
+//
+// rest has no singleton row, so reducing it repeats none of this step
+// and ReduceBudgetWorkers(rest) ends where ReduceBudgetWorkers(p)
+// does: the same core, its RowOrigin mapped through kept, and the
+// remaining essentials.
+func (p *Problem) SplitEssentials() (ess []int, rest *Problem, kept []int, infeasible bool) {
+	var isEss []bool // allocated at the first singleton row
+	for _, r := range p.Rows {
+		switch len(r) {
+		case 0:
+			return nil, nil, nil, true
+		case 1:
+			if isEss == nil {
+				isEss = make([]bool, p.NCol)
+			}
+			if !isEss[r[0]] {
+				isEss[r[0]] = true
+				ess = append(ess, r[0])
+			}
+		}
+	}
+	if ess == nil {
+		return nil, p, nil, false
+	}
+	sort.Ints(ess)
+	rest = &Problem{NCol: p.NCol, Cost: p.Cost}
+rows:
+	for i, r := range p.Rows {
+		for _, j := range r {
+			if isEss[j] {
+				continue rows
+			}
+		}
+		rest.Rows = append(rest.Rows, r)
+		kept = append(kept, i)
+	}
+	return ess, rest, kept, false
+}
+
 // ReduceTrace records the dominance facts a reduction applied, as
 // (victim, witness) pairs: the input-row index a killed row descends
 // from together with the row that dominated it, and the id of a
@@ -763,39 +808,54 @@ type Component struct {
 	RowIdx  []int // indices of the component's rows in the parent
 }
 
-// componentRoots runs the union-find over rows (rows are connected
-// when they share a column) and returns the parent forest plus a find
-// function with path compression applied.
-func componentRoots(p *Problem) func(int) int {
-	n := len(p.Rows)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
+// ColumnSets is a union-find over a column universe, 4 bytes per
+// column and no per-row state: after AddRow has seen every row, two
+// columns share a set exactly when the rows connect them, so the sets
+// are the connected components of the instance (a row joins the set
+// of any of its columns).  Both partitioners use it: Components over
+// an assembled matrix, and internal/shard over a stream it never
+// assembles.
+type ColumnSets struct {
+	parent []int32
+}
 
-	colFirst := make([]int, p.NCol)
-	for j := range colFirst {
-		colFirst[j] = -1
+// NewColumnSets returns ncols singleton sets.
+func NewColumnSets(ncols int) *ColumnSets {
+	s := &ColumnSets{parent: make([]int32, ncols)}
+	for j := range s.parent {
+		s.parent[j] = int32(j)
 	}
-	for i, r := range p.Rows {
-		for _, j := range r {
-			if f := colFirst[j]; f >= 0 {
-				union(i, f)
-			} else {
-				colFirst[j] = i
-			}
+	return s
+}
+
+// Find returns the root of column j's set.
+func (s *ColumnSets) Find(j int) int {
+	x := int32(j)
+	for s.parent[x] != x {
+		s.parent[x] = s.parent[s.parent[x]] // path halving
+		x = s.parent[x]
+	}
+	return int(x)
+}
+
+// AddRow unions all the row's columns into one set.
+func (s *ColumnSets) AddRow(cols []int) {
+	if len(cols) < 2 {
+		return
+	}
+	a := s.Find(cols[0])
+	for _, c := range cols[1:] {
+		b := s.Find(c)
+		if a == b {
+			continue
 		}
+		// Smaller root wins: keeps Find deterministic and cheap without
+		// a rank array.
+		if b < a {
+			a, b = b, a
+		}
+		s.parent[b] = int32(a)
 	}
-	return find
 }
 
 // Components splits the problem into its connected components: rows
@@ -808,48 +868,75 @@ func componentRoots(p *Problem) func(int) int {
 // decomposition canonical: any process that discovers the same
 // components — in particular the streaming partitioner of
 // internal/shard, which never sees the assembled matrix — arrives at
-// the same ordering.
+// the same ordering.  An empty row connects to nothing and is a
+// component of its own.
+//
+// Component rows alias p's row slices (no row is copied), so callers
+// must treat them as read-only, like p itself; every solver in this
+// module clones, compacts or only reads them.
 func Components(p *Problem) []Component {
 	return components(p, false)
 }
 
 // Partition is Components for callers on the partition-first solve
 // path: it returns nil when the problem has at most one connected
-// component (including the empty problem), so the common connected
-// case costs one union-find pass and no row copies.
+// component (including the empty problem).  Either way it costs one
+// union-find over the columns and one counting pass over the rows,
+// and its components alias p's rows like Components'.
 func Partition(p *Problem) []Component {
 	return components(p, true)
 }
 
 func components(p *Problem, nilIfConnected bool) []Component {
-	n := len(p.Rows)
-	find := componentRoots(p)
-	// Assign component indices in order of first appearance: component
-	// k's smallest row index grows with k.
-	compOf := make([]int, n)
-	rootComp := make(map[int]int)
+	sets := NewColumnSets(p.NCol)
+	for _, r := range p.Rows {
+		sets.AddRow(r)
+	}
+	// Number the components in order of first appearance, so component
+	// k's smallest row index grows with k.  compAt[root] is 1 + the
+	// component of a column set's root (0: not seen yet).
+	compAt := make([]int32, p.NCol)
+	compOf := make([]int32, len(p.Rows))
 	ncomp := 0
-	for i := 0; i < n; i++ {
-		root := find(i)
-		c, ok := rootComp[root]
-		if !ok {
-			c = ncomp
-			rootComp[root] = c
+	for i, r := range p.Rows {
+		if len(r) == 0 {
 			ncomp++
+			compOf[i] = int32(ncomp - 1)
+			continue
 		}
-		compOf[i] = c
+		root := sets.Find(r[0])
+		if compAt[root] == 0 {
+			ncomp++
+			compAt[root] = int32(ncomp)
+		}
+		compOf[i] = compAt[root] - 1
 	}
 	if nilIfConnected && ncomp <= 1 {
 		return nil
 	}
+	// Bucket the rows by component in one counting pass: the components
+	// share one row-header and one RowIdx backing array.
+	next := make([]int, ncomp+1)
+	for _, c := range compOf {
+		next[c+1]++
+	}
+	for c := 1; c <= ncomp; c++ {
+		next[c] += next[c-1]
+	}
 	out := make([]Component, ncomp)
-	for i := 0; i < n; i++ {
-		c := compOf[i]
-		if out[c].Problem == nil {
-			out[c].Problem = &Problem{NCol: p.NCol, Cost: p.Cost}
+	rows := make([][]int, len(p.Rows))
+	rowIdx := make([]int, len(p.Rows))
+	for c := range out {
+		lo, hi := next[c], next[c+1]
+		out[c] = Component{
+			Problem: &Problem{Rows: rows[lo:hi:hi], NCol: p.NCol, Cost: p.Cost},
+			RowIdx:  rowIdx[lo:hi:hi],
 		}
-		out[c].Problem.Rows = append(out[c].Problem.Rows, append([]int(nil), p.Rows[i]...))
-		out[c].RowIdx = append(out[c].RowIdx, i)
+	}
+	for i, c := range compOf {
+		k := next[c]
+		next[c]++
+		rows[k], rowIdx[k] = p.Rows[i], i
 	}
 	return out
 }

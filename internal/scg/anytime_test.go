@@ -105,3 +105,45 @@ func TestOnImproveUnderBudget(t *testing.T) {
 		t.Fatal("interrupted solve must still return a feasible cover")
 	}
 }
+
+// TestOnImproveWithSettledParts: a part the reductions settle runs no
+// portfolio, yet it must still fill its slot of the cross-part
+// assembler, or no whole-problem cover is ever emitted.  The input is
+// a cyclic covering beside a one-row part whose row is a singleton,
+// in either order.
+func TestOnImproveWithSettledParts(t *testing.T) {
+	cyc := benchmarks.CyclicCovering(3, 40, 30, 3)
+	cost := append(append([]int(nil), cyc.Cost...), 2)
+	single := []int{cyc.NCol}
+	for _, first := range []bool{true, false} {
+		rows := append([][]int(nil), cyc.Rows...)
+		if first {
+			rows = append([][]int{single}, rows...)
+		} else {
+			rows = append(rows, single)
+		}
+		p := matrix.MustNew(rows, cyc.NCol+1, cost)
+		var mu sync.Mutex
+		n, best := 0, math.MaxInt
+		opt := Options{Seed: 1, NumIter: 3}
+		opt.OnImprove = func(sol []int, cost int, lb float64) {
+			mu.Lock()
+			defer mu.Unlock()
+			n++
+			if !p.IsCover(sol) {
+				t.Errorf("singleton first=%v: emitted %v is not a cover of the whole input", first, sol)
+			}
+			if got := p.CostOf(sol); got != cost {
+				t.Errorf("singleton first=%v: reported cost %d, actual %d", first, cost, got)
+			}
+			best = min(best, cost)
+		}
+		res := Solve(p, opt)
+		if n == 0 {
+			t.Fatalf("singleton first=%v: OnImprove never fired on a two-part input", first)
+		}
+		if res.Cost > best {
+			t.Fatalf("singleton first=%v: final cost %d worse than streamed %d", first, res.Cost, best)
+		}
+	}
+}

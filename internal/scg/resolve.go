@@ -275,3 +275,19 @@ func coreRowOf(comp matrix.Component, pos int) int {
 	}
 	return comp.RowIdx[pos]
 }
+
+// residualDelta restricts kp.d to rest, the residual of its child
+// after the essential prepass, whose row i is child row kept[i] (kept
+// nil: rest is the child).  Parent stays whole: the parent's trace
+// names parent input rows.
+func (kp *keep) residualDelta(rest *matrix.Problem, kept []int) *matrix.Delta {
+	d := *kp.d
+	d.Child = rest
+	if kept != nil {
+		d.RowMap = make([]int, len(kept))
+		for i, k := range kept {
+			d.RowMap[i] = kp.d.RowMap[k]
+		}
+	}
+	return &d
+}

@@ -3,6 +3,7 @@ package scg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ucp/internal/benchmarks"
@@ -152,6 +153,67 @@ func TestResolveMatchesCold(t *testing.T) {
 			sameSolve(t, "resolve", got, want)
 			st, cur = next, d.Child
 		}
+	}
+}
+
+// TestResolveAfterSettledParent: a kept solve whose singleton
+// essentials settle the whole input still leaves a state the next
+// resolve builds on, with no fallback, and the chain stays equal to
+// cold kept solves.
+func TestResolveAfterSettledParent(t *testing.T) {
+	p := matrix.MustNew([][]int{{0}, {0, 1}, {2}, {1, 2, 3}}, 4, []int{1, 2, 1, 3})
+	opt := Options{Seed: 1, NumIter: 2}
+	res, st := SolveKeep(p, opt)
+	if res.Stats.CoreRows != 0 || res.Cost != 2 {
+		t.Fatalf("parent: core %d rows, cost %d; want 0 rows, cost 2", res.Stats.CoreRows, res.Cost)
+	}
+	d, err := p.AddRows([][]int{{1, 3}, {0, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen, d := range []*matrix.Delta{d, d.Child.BeginDelta()} {
+		want, _ := SolveKeep(d.Child, opt)
+		got, next, info := ResolveState(d, st, opt, ResolveOptions{})
+		if info.Fallback {
+			t.Fatalf("gen %d: the resolve fell back", gen)
+		}
+		sameSolve(t, "resolve after settled parent", got, want)
+		st = next
+	}
+}
+
+// TestKeepStateNamesInputRows: the essential prepass drops rows before
+// a kept solve reduces, yet the kept reduction must still name input
+// rows, because warm starts and the next replay map through them:
+// every core row is a subset of the input row its RowOrigin names.
+func TestKeepStateNamesInputRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	cores := 0
+	for trial := 0; trial < 20; trial++ {
+		cyc := benchmarks.CyclicCovering(int64(trial), 30, 20, 3)
+		rows := append([][]int{{cyc.NCol}}, cyc.Rows...) // a singleton on a fresh column
+		at := 1 + rng.Intn(len(rows))
+		rows = append(rows[:at], append([][]int{{rng.Intn(cyc.NCol)}}, rows[at:]...)...)
+		p := matrix.MustNew(rows, cyc.NCol+1, nil)
+		_, st := SolveKeep(p, Options{Seed: int64(trial)})
+		red := st.red
+		if len(red.RowOrigin) != len(red.Core.Rows) {
+			t.Fatalf("trial %d: %d origins for %d core rows", trial, len(red.RowOrigin), len(red.Core.Rows))
+		}
+		for i, r := range red.Core.Rows {
+			in := p.Rows[red.RowOrigin[i]]
+			for _, j := range r {
+				if !slices.Contains(in, j) {
+					t.Fatalf("trial %d: core row %v is not within input row %d = %v", trial, r, red.RowOrigin[i], in)
+				}
+			}
+		}
+		if len(red.Core.Rows) > 0 {
+			cores++
+		}
+	}
+	if cores == 0 {
+		t.Fatal("every core was empty: nothing was checked")
 	}
 }
 

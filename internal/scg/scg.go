@@ -2,10 +2,14 @@
 // constructive heuristic for the unate covering problem driven by
 // lagrangian relaxation (Figure 2 of the paper).
 //
-// Each connected part of the covering matrix is reduced to its cyclic
-// core by the explicit fixpoint of internal/matrix (duplicate rows,
-// row dominance, essential columns, column dominance), which picks its
-// dense bit-matrix or sparse engine from the input.  The subgradient
+// Each connected part of the covering matrix first takes the column of
+// every singleton row and drops the rows those essentials cover: the
+// fixpoint's first step, run before anything copies a row, because on
+// coverings built from PLAs it settles most parts outright.  The rows
+// it leaves are reduced to their cyclic core by the explicit fixpoint
+// of internal/matrix (duplicate rows, row dominance, essential
+// columns, column dominance), which picks its dense bit-matrix or
+// sparse engine from the input.  The subgradient
 // machinery of internal/lagrangian then rates the core's columns;
 // penalty tests fix columns in or out, "promising" columns are fixed
 // heuristically, and one best-rated column is always fixed to
@@ -221,7 +225,8 @@ func solve(p *matrix.Problem, opt Options, kp *keep) *Result {
 	// Parts solve sequentially; the portfolio inside each part still
 	// spreads its blocks and restarts across the worker budget.
 	// OnImprove composes across parts: each part's incumbents feed one
-	// slot of an outer assembler that emits whole-problem covers.
+	// slot of an outer assembler that emits whole-problem covers (a part
+	// the reductions settle feeds its one cover).
 	var outer *anytime
 	if opt.OnImprove != nil && len(parts) > 1 {
 		outer = newAnytime(nil, 0, len(parts), opt.OnImprove)
@@ -267,91 +272,99 @@ type PartResult struct {
 // canonical index, which seeds the part's restart RNG streams; column
 // ids in part (and in the returned Solution) are the input problem's.
 // When nparts > 1 the part is a slice of a wider column universe, so
-// it is first compacted to its active columns (an O(nnz) operation,
-// see matrix.CompactSparse) and the solution is mapped back: per-part
-// costs never scale with the parent's NCol.  The caller owns the
-// decomposition contract: part really is one connected component of
-// an nparts-part input and partIdx its canonical position, or the
-// solve is still valid but no longer bit-comparable with solving the
-// whole input.  Options.Cache and Options.OnImprove are ignored at
-// part level.
+// the rows its singleton essentials leave are compacted to their
+// active columns (an O(nnz) operation, see matrix.CompactSparse) and
+// the solution is mapped back: per-part costs never scale with the
+// parent's NCol.  The caller owns the decomposition contract: part
+// really is one connected component of an nparts-part input and
+// partIdx its canonical position, or the solve is still valid but no
+// longer bit-comparable with solving the whole input.  Options.Cache
+// and Options.OnImprove are ignored at part level.
 func SolvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker) *PartResult {
 	opt.fill()
 	return solvePart(part, partIdx, nparts, opt, tr, nil, nil)
 }
 
-// solvePart is the per-part pipeline (Figure 2 of the paper): column
-// compaction when the input has several parts, reduction to the cyclic
-// core, block portfolio over the core, per-part irredundant cleanup.
-// emit (may be nil) receives the part's improving incumbents.  kp (may
-// be nil) is the keep stage of an incremental solve: its reduction is
-// traced, or replayed from the parent's trace, and its portfolio
-// carries unchanged parent blocks over and captures multipliers.
-func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) (pr *PartResult) {
-	pr = &PartResult{}
-	if nparts > 1 {
-		// Solve against the part's own active columns; the solution and
-		// the emitted incumbents map back to input column ids.
-		var ids []int
-		part, ids = part.CompactSparse()
-		if inner := emit; inner != nil {
-			emit = func(sol []int, cost int, lb float64) { inner(mapCols(sol, ids), cost, lb) }
-		}
-		defer func() {
-			if pr.Solution != nil {
-				pr.Solution = mapCols(pr.Solution, ids)
-				sort.Ints(pr.Solution)
-			}
-		}()
-	}
+// solvePart is the per-part pipeline (Figure 2 of the paper): the
+// essential prepass, column compaction of the residual when the input
+// has several parts, reduction of the residual to the cyclic core,
+// block portfolio over the core, irredundant cleanup of the residual's
+// cover.  emit (may be nil) receives the part's improving incumbents;
+// a part the reductions finish emits its one cover.  kp (may be nil)
+// is the keep stage of an incremental solve: its reduction is traced,
+// or replayed from the parent's trace, and its portfolio carries
+// unchanged parent blocks over and captures multipliers.
+func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) *PartResult {
+	pr := &PartResult{}
 	t0 := time.Now()
 
-	// The reduction fixpoints shard their dominance passes across the
-	// same worker budget the restart portfolio uses; the merge is
-	// deterministic, so the cyclic core is bit-identical for any count.
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// ----- reduction to the cyclic core: plain, or traced for a kept
-	// solve and replayed from the parent's trace for a resolve (a kept
-	// solve has one part, so part is kp.d.Child) -----
-	var red *matrix.Reduction
-	switch {
-	case kp == nil:
-		red = matrix.ReduceBudgetWorkers(part, tr, workers)
-	case kp.parent == nil:
-		red, kp.st.trace = matrix.ReduceTrackedTrace(part, tr, workers)
-	default:
-		red, kp.st.trace = matrix.ReplayReduce(kp.d, kp.parent.trace, tr, workers)
+	// ----- essential prepass: the reduction fixpoint's first step,
+	// run before anything copies a row.  Every later stage sees only
+	// the residual, the rows the singleton essentials leave -----
+	ess, rest, kept, infeasible := part.SplitEssentials()
+	red := &matrix.Reduction{Core: rest, Infeasible: infeasible}
+	var ids []int
+	var trace *matrix.ReduceTrace
+	if !infeasible && len(rest.Rows) > 0 {
+		if nparts > 1 {
+			// Solve against the residual's own active columns; toInput
+			// maps its covers back to input column ids.
+			rest, ids = rest.CompactSparse()
+		}
+		// The reduction fixpoints shard their dominance passes across
+		// the same worker budget the restart portfolio uses; the merge
+		// is deterministic, so the cyclic core is bit-identical for any
+		// count.
+		workers := opt.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		// ----- reduction to the cyclic core: plain, or traced for a
+		// kept solve and replayed from the parent's trace for a resolve
+		// (a kept solve has one part, so part is kp.d.Child) -----
+		switch {
+		case kp == nil:
+			red = matrix.ReduceBudgetWorkers(rest, tr, workers)
+		case kp.parent == nil:
+			red, trace = matrix.ReduceTrackedTrace(rest, tr, workers)
+		default:
+			red, trace = matrix.ReplayReduce(kp.residualDelta(rest, kept), kp.parent.trace, tr, workers)
+		}
+		liftRows(red, trace, kept)
 	}
 	if kp != nil {
-		kp.st.red = red
+		kp.st.red, kp.st.trace = red, trace
 	}
 	if red.Infeasible {
 		return pr
 	}
-	essential := red.Essential
 	core := red.Core
 	pr.Stats.CyclicCoreTime = time.Since(t0)
-	pr.Stats.CoreRows = len(core.Rows)
-	pr.Stats.CoreCols = len(core.ActiveCols())
 
-	essCost := part.CostOf(essential)
+	// toInput maps a cover of the residual to input column ids and adds
+	// the prepass essentials.
+	toInput := func(sol []int) []int {
+		if ids != nil {
+			sol = mapCols(sol, ids)
+		}
+		out := append(append(make([]int, 0, len(ess)+len(sol)), ess...), sol...)
+		sort.Ints(out)
+		return out
+	}
+	essCost := part.CostOf(ess) + rest.CostOf(red.Essential)
 	if len(core.Rows) == 0 {
 		// The reductions solved the part outright; essentials form a
-		// minimum cover of it.
-		if essential == nil {
-			essential = []int{} // nil would read as "infeasible"
+		// minimum cover of it, and with no portfolio to run it is the
+		// part's only incumbent.
+		pr.Solution = toInput(red.Essential)
+		pr.Cost, pr.LB, pr.CeilLB = essCost, float64(essCost), essCost
+		if emit != nil {
+			emit(slices.Clone(pr.Solution), pr.Cost, pr.LB)
 		}
-		sort.Ints(essential)
-		pr.Solution = essential
-		pr.Cost = essCost
-		pr.LB = float64(essCost)
-		pr.CeilLB = essCost
 		return pr
 	}
+	pr.Stats.CoreRows = len(core.Rows)
+	pr.Stats.CoreCols = len(core.ActiveCols())
 
 	// ----- solve the cyclic core, one independent block at a time;
 	// the blocks and their stochastic restarts run as a deterministic
@@ -364,7 +377,9 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 	}
 	var obs *anytime
 	if emit != nil {
-		obs = newAnytime(essential, essCost, len(comps), emit)
+		obs = newAnytime(red.Essential, essCost, len(comps), func(sol []int, cost int, lb float64) {
+			emit(toInput(sol), cost, lb)
+		})
 	}
 	states := make([]*compState, len(comps))
 	pend := make([]int, 0, len(comps))
@@ -386,7 +401,9 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 	}
 	runStates(states, pend, opt, tr, obs)
 
-	best := append([]int(nil), essential...)
+	// The prepass essentials are in essCost, so lbSum adds in the order
+	// it did when the fixpoint found them.
+	best := append([]int(nil), red.Essential...)
 	lbSum := float64(essCost)
 	ceilSum := essCost
 	for _, cs := range states {
@@ -398,13 +415,32 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 		lbSum += lb
 		ceilSum += int(math.Ceil(lb - 1e-9))
 	}
-	best = part.Irredundant(best)
-	sort.Ints(best)
-	pr.Solution = best
-	pr.Cost = part.CostOf(best)
+	// Irredundant on the residual makes the removals it would make on
+	// the whole part: a prepass essential is the only column of its
+	// singleton row, so it is never removed, and it keeps every row
+	// outside the residual covered, so no such row holds a column in.
+	pr.Solution = toInput(rest.Irredundant(best))
+	pr.Cost = part.CostOf(pr.Solution)
 	pr.LB = lbSum
 	pr.CeilLB = ceilSum
 	return pr
+}
+
+// liftRows maps a reduction of the residual back to the part's rows,
+// where the keep state's warm starts and the next replay read them:
+// residual row i is part row kept[i] (kept nil: they coincide).
+func liftRows(red *matrix.Reduction, trace *matrix.ReduceTrace, kept []int) {
+	if kept == nil {
+		return
+	}
+	for i, o := range red.RowOrigin {
+		red.RowOrigin[i] = kept[o]
+	}
+	if trace != nil {
+		for k, f := range trace.RowKills {
+			trace.RowKills[k] = [2]int32{int32(kept[f[0]]), int32(kept[f[1]])}
+		}
+	}
 }
 
 // MergeParts folds per-part results — in canonical part order — into

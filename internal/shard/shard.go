@@ -140,7 +140,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 		resCap = 0
 	}
 	log := newRowLog(spill, g, resCap, segSizeFor(memBudget))
-	pt := newPartitioner(ncols)
+	sets := matrix.NewColumnSets(ncols)
 
 	// ----- pass A: stream, normalize, log, union -----
 	var scratch []int
@@ -158,7 +158,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 			return nil, inputErr(err)
 		}
 		if !opt.DisablePartition {
-			pt.addRow(norm)
+			sets.AddRow(norm)
 		}
 		if err := log.append(norm); err != nil {
 			return nil, err
@@ -170,7 +170,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 
 	// ----- pass B: canonical component assignment and sizes -----
 	var comps []*comp
-	rootComp := map[int32]*comp{}
+	rootComp := map[int]*comp{}
 	var emptySeq []*comp
 	newComp := func() *comp {
 		c := &comp{id: len(comps)}
@@ -192,7 +192,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 			emptySeq = append(emptySeq, c)
 			return c
 		}
-		root := pt.find(int32(cols[0]))
+		root := sets.Find(cols[0])
 		c, ok := rootComp[root]
 		if !ok {
 			c = newComp()
@@ -270,7 +270,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 			emptyIdx++
 			return c
 		}
-		return rootComp[pt.find(int32(cols[0]))]
+		return rootComp[sets.Find(cols[0])]
 	}
 	err = log.scan(true, func(cols []int) error {
 		c := nextRow(cols)
@@ -289,7 +289,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt = nil
+	sets = nil
 	g.add(-4 * int64(ncols)) // union-find released
 
 	// ----- solve the components largest-first -----
