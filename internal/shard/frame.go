@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -31,23 +32,27 @@ func appendFrame(dst []byte, cols []int) []byte {
 	return dst
 }
 
+// errCorruptFrame tags frames, and spill extents, that do not decode
+// to what was written.
+var errCorruptFrame = errors.New("shard: corrupt row frame")
+
 // readFrame decodes one frame from br into buf[:0].  io.EOF (clean,
 // at a frame boundary) is passed through; any other failure comes back
-// wrapped.
+// wrapped in errCorruptFrame.
 func readFrame(br io.ByteReader, buf []int) ([]int, error) {
 	k, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("shard: corrupt row frame: %w", err)
+		return nil, fmt.Errorf("%w: %w", errCorruptFrame, err)
 	}
 	cols := buf[:0]
 	prev := 0
 	for i := uint64(0); i < k; i++ {
 		d, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("shard: truncated row frame: %w", err)
+			return nil, fmt.Errorf("%w: truncated: %w", errCorruptFrame, err)
 		}
 		if i == 0 {
 			prev = int(d)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"runtime"
 	"sort"
@@ -163,7 +164,7 @@ func (s *sched) evictLocked() bool {
 			s.err = err
 			return false
 		}
-		if err := s.writeFrames(c.data, off); err != nil {
+		if err := s.writeFrames(c, off); err != nil {
 			s.err = err
 			return false
 		}
@@ -178,11 +179,12 @@ func (s *sched) evictLocked() bool {
 	return false
 }
 
-// writeFrames encodes rows and writes them contiguously at off.
-func (s *sched) writeFrames(rows [][]int, off int64) error {
-	buf := make([]byte, 0, 64<<10)
+// writeFrames encodes c's decoded rows and writes them contiguously at
+// off, through a buffer no larger than the extent.
+func (s *sched) writeFrames(c *comp, off int64) error {
+	buf := make([]byte, 0, min(c.frameBytes, 64<<10))
 	cur := off
-	for _, r := range rows {
+	for _, r := range c.data {
 		buf = appendFrame(buf, r)
 		if len(buf) >= 64<<10 {
 			if err := s.spill.writeAt(buf, cur); err != nil {
@@ -198,16 +200,32 @@ func (s *sched) writeFrames(rows [][]int, off int64) error {
 	return nil
 }
 
-// loadComp reads a spilled component's extent back into decoded rows.
+// loadComp reads a spilled component's extent back into decoded rows:
+// one arena of c.nnz columns, with each row a capped slice of it.  An
+// extent that ends short or holds other than c.nnz columns is corrupt.
 func (s *sched) loadComp(c *comp) ([][]int, error) {
-	br := bufio.NewReaderSize(io.NewSectionReader(s.spill.file(), c.off, c.frameBytes), 64<<10)
-	rows := make([][]int, 0, c.rows)
-	for len(rows) < c.rows {
-		cols, err := readFrame(br, nil)
+	sec := io.NewSectionReader(s.spill.file(), c.off, c.frameBytes)
+	br := bufio.NewReaderSize(sec, int(min(c.frameBytes, 64<<10)))
+	arena := make([]int, c.nnz)
+	rows := make([][]int, c.rows)
+	pos := 0
+	for i := range rows {
+		cols, err := readFrame(br, arena[pos:pos])
+		if err == io.EOF {
+			return nil, fmt.Errorf("%w: extent ends after %d of %d rows", errCorruptFrame, i, c.rows)
+		}
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, append([]int(nil), cols...))
+		end := pos + len(cols)
+		if end > len(arena) {
+			return nil, fmt.Errorf("%w: row %d overruns the component's %d nonzeros", errCorruptFrame, i, c.nnz)
+		}
+		rows[i] = arena[pos:end:end]
+		pos = end
+	}
+	if pos != len(arena) {
+		return nil, fmt.Errorf("%w: frames hold %d of the component's %d nonzeros", errCorruptFrame, pos, c.nnz)
 	}
 	return rows, nil
 }

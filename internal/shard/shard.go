@@ -11,11 +11,11 @@
 // by construction (see DESIGN.md §17).
 //
 // The byte budget governs the driver's own tracked state: decoded
-// component row data, resident row-log segments, the column union-find
-// and the cost vector.  It does not bound the transient working memory
-// of the per-component solves; a single component larger than the
-// whole budget is admitted alone, exceeding the budget by exactly its
-// size.
+// component row data, resident row-log segments, the spill
+// write-combining slab, the column union-find and the cost vector.  It
+// does not bound the transient working memory of the per-component
+// solves; a single component larger than the whole budget is admitted
+// alone, exceeding the budget by exactly its size.
 package shard
 
 import (
@@ -53,6 +53,7 @@ type comp struct {
 	state int // stSpilled | stResident | stRunning | stDone
 	off   int64
 	wr    int64   // demux write cursor into the spill extent
+	win   []byte  // pass C write-combining window (spilled only)
 	data  [][]int // decoded rows, in input row order
 }
 
@@ -100,6 +101,12 @@ func uvarintLen(v uint64) int {
 // Stats.Shard* counters filled in.  Errors are parse/validation
 // failures of the source or spill-file IO failures.
 func Solve(src Source, opt scg.Options) (*scg.Result, error) {
+	return solve(src, opt, &combiner{})
+}
+
+// solve is Solve with pass C's write combiner supplied by the caller,
+// so tests can read its counters.
+func solve(src Source, opt scg.Options, wc *combiner) (*scg.Result, error) {
 	t0 := time.Now()
 	hdr, rr, err := src.Open()
 	if err != nil {
@@ -134,6 +141,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 	g.add(4 * int64(ncols)) // union-find parents
 	spill := newSpillFile(opt.SpillDir)
 	defer spill.close()
+	wc.spill, wc.g = spill, g
 
 	resCap := (memBudget - g.current()) / 2
 	if resCap < 0 {
@@ -233,7 +241,6 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 		decodeCap = 0
 	}
 	var residentBytes, spillBytes int64
-	spilled := 0
 	for _, c := range order {
 		if residentBytes+c.decBytes <= decodeCap {
 			c.state = stResident
@@ -241,7 +248,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 		} else {
 			c.state = stSpilled
 			spillBytes += c.frameBytes
-			spilled++
+			wc.comps = append(wc.comps, c)
 		}
 	}
 	if spillBytes > 0 {
@@ -249,16 +256,18 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range order {
-			if c.state == stSpilled {
-				c.off = off
-				off += c.frameBytes
-			}
+		for _, c := range wc.comps {
+			c.off = off
+			off += c.frameBytes
 		}
 	}
 
 	// ----- pass C: demux rows to decoded residents / spill extents,
-	// draining the row log as it goes -----
+	// draining the row log as it goes.  Spilled frames write-combine in
+	// windows of a slab sized like a log segment; the slab yields to
+	// resident rows, so it never pushes the tracked peak past the
+	// budget (DESIGN.md §17) -----
+	wc.cut(min(segSizeFor(memBudget), memBudget-g.current()))
 	emptyIdx := 0
 	var frame []byte
 	nextRow := func(cols []int) *comp {
@@ -275,17 +284,20 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 	err = log.scan(true, func(cols []int) error {
 		c := nextRow(cols)
 		if c.state == stResident {
-			g.add(decSize(1, len(cols)))
+			charge := decSize(1, len(cols))
+			if err := wc.yield(charge, memBudget); err != nil {
+				return err
+			}
+			g.add(charge)
 			c.data = append(c.data, append([]int(nil), cols...))
 			return nil
 		}
 		frame = appendFrame(frame[:0], cols)
-		if err := spill.writeAt(frame, c.off+c.wr); err != nil {
-			return err
-		}
-		c.wr += int64(len(frame))
-		return nil
+		return wc.write(c, frame)
 	})
+	if err == nil {
+		err = wc.release()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +312,7 @@ func Solve(src Source, opt scg.Options) (*scg.Result, error) {
 	}
 	res := scg.MergeParts(prs)
 	res.Stats.ShardComponents = len(comps)
-	res.Stats.ShardSpilled = spilled
+	res.Stats.ShardSpilled = len(wc.comps)
 	res.Stats.ShardRespilled = sc.respilled
 	res.Stats.ShardDegraded = sc.degraded
 	res.Stats.ShardPeakBytes = g.peakBytes()

@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -42,21 +44,23 @@ func requireIdentical(t *testing.T, direct, sharded *scg.Result, label string) {
 
 // testProblems is a spread of instance shapes: multi-component,
 // connected, with empty (uncoverable) rows, and single-row edge cases.
+// Under the spilling budgets of TestShardedMatchesDirect, most of
+// emptyrows' empty-row components spill, and wide's empty rows split
+// the write-combining slab into windows its 40-column frames outgrow.
 func testProblems(t *testing.T) map[string]*matrix.Problem {
 	t.Helper()
-	multi, err := benchmarks.ComponentCovering(benchmarks.ComponentSpec{
-		Seed: 11, Components: 9, RowsPerComp: 14, ColsPerComp: 10, RowDegree: 3, MaxCost: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uneven, err := benchmarks.ComponentCovering(benchmarks.ComponentSpec{
-		Seed: 12, Components: 4, RowsPerComp: 30, ColsPerComp: 12, RowDegree: 4, MaxCost: 5})
-	if err != nil {
-		t.Fatal(err)
+	spec := func(s benchmarks.ComponentSpec) *matrix.Problem {
+		p, err := benchmarks.ComponentCovering(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 	return map[string]*matrix.Problem{
-		"multi":     multi,
-		"uneven":    uneven,
+		"multi":     spec(benchmarks.ComponentSpec{Seed: 11, Components: 9, RowsPerComp: 14, ColsPerComp: 10, RowDegree: 3, MaxCost: 7}),
+		"uneven":    spec(benchmarks.ComponentSpec{Seed: 12, Components: 4, RowsPerComp: 30, ColsPerComp: 12, RowDegree: 4, MaxCost: 5}),
+		"wide":      withEmptyRows(spec(benchmarks.ComponentSpec{Seed: 13, Components: 6, RowsPerComp: 16, ColsPerComp: 200, RowDegree: 40, MaxCost: 9}), 1),
+		"emptyrows": withEmptyRows(spec(benchmarks.ComponentSpec{Seed: 14, Components: 12, RowsPerComp: 24, ColsPerComp: 10, RowDegree: 3, MaxCost: 4}), 4),
 		"connected": benchmarks.RandomCovering(3, 40, 25, 0.15, 6),
 		"cyclic":    benchmarks.CyclicCovering(4, 30, 20, 3),
 		"singleton": matrix.MustNew([][]int{{0}}, 1, nil),
@@ -64,25 +68,58 @@ func testProblems(t *testing.T) map[string]*matrix.Problem {
 	}
 }
 
+// withEmptyRows inserts an empty (uncoverable) row after every k-th
+// row of p.
+func withEmptyRows(p *matrix.Problem, k int) *matrix.Problem {
+	var rows [][]int
+	for i, r := range p.Rows {
+		rows = append(rows, r)
+		if i%k == 0 {
+			rows = append(rows, nil)
+		}
+	}
+	return matrix.MustNew(rows, p.NCol, p.Cost)
+}
+
 // TestShardedMatchesDirect is the differential acceptance test: the
 // sharded solve is bit-identical to scg.Solve across Workers 1/2/4/8,
-// both fully in RAM and with spilling forced by a tiny budget.
+// fully in RAM, with spilling forced by a tiny budget (partitioned or
+// not), and at a budget where resident rows make pass C's
+// write-combining slab yield, which must keep the tracked peak under
+// the budget.
 func TestShardedMatchesDirect(t *testing.T) {
-	for name, p := range testProblems(t) {
-		for _, workers := range []int{1, 2, 4, 8} {
-			opt := scg.Options{Seed: 7, NumIter: 3, Workers: workers}
-			direct := scg.Solve(p, opt)
-			for _, budgetBytes := range []int64{1 << 30, 16 << 10} {
-				opt.MemBudget = budgetBytes
-				res, err := SolveProblem(p, opt)
+	const yieldBudget = 40 << 10
+	probs := testProblems(t)
+	for _, workers := range []int{1, 2, 4, 8} {
+		yields := 0
+		for name, p := range probs {
+			for _, tc := range []struct {
+				budget      int64
+				noPartition bool
+			}{{1 << 30, false}, {16 << 10, false}, {16 << 10, true}, {yieldBudget, false}} {
+				opt := scg.Options{Seed: 7, NumIter: 3, Workers: workers, DisablePartition: tc.noPartition}
+				direct := scg.Solve(p, opt)
+				opt.MemBudget = tc.budget
+				wc := &combiner{}
+				res, err := solve(FromProblem(p), opt, wc)
+				label := fmt.Sprintf("%s workers=%d budget=%d nopart=%v", name, workers, tc.budget, tc.noPartition)
 				if err != nil {
-					t.Fatalf("%s workers=%d budget=%d: %v", name, workers, budgetBytes, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				requireIdentical(t, direct, res, name)
+				requireIdentical(t, direct, res, label)
 				if res.Stats.ShardComponents == 0 && len(p.Rows) > 0 {
-					t.Fatalf("%s: no components reported", name)
+					t.Fatalf("%s: no components reported", label)
+				}
+				if tc.budget == yieldBudget {
+					yields += wc.yields
+					if res.Stats.ShardPeakBytes > tc.budget {
+						t.Fatalf("%s: tracked peak %d over budget", label, res.Stats.ShardPeakBytes)
+					}
 				}
 			}
+		}
+		if yields == 0 {
+			t.Fatalf("workers=%d: no write-combining slab yielded at the %d-byte budget", workers, yieldBudget)
 		}
 	}
 }
@@ -303,6 +340,70 @@ func TestEvictionRespill(t *testing.T) {
 	}
 }
 
+// TestPassCWriteCombines pins pass C's spill writes: on a round-robin
+// instance that spills most components, frames reach the spill file a
+// window at a time, far fewer writes than spilled rows, and every
+// extent ends exactly full.
+func TestPassCWriteCombines(t *testing.T) {
+	spec := benchmarks.ComponentSpec{Seed: 11, Components: 60, RowsPerComp: 200, ColsPerComp: 40, RowDegree: 4, MaxCost: 5}
+	p, err := benchmarks.ComponentCovering(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := &combiner{}
+	res, err := solve(FromProblem(p), scg.Options{Seed: 5, NumIter: 1, Workers: 1, MemBudget: 256 << 10}, wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*res.Stats.ShardSpilled < spec.Components {
+		t.Fatalf("only %d of %d components spilled", res.Stats.ShardSpilled, spec.Components)
+	}
+	spilledRows := 0
+	for _, c := range wc.comps {
+		spilledRows += c.rows
+		if c.wr != c.frameBytes {
+			t.Fatalf("component %d: %d of %d extent bytes written", c.id, c.wr, c.frameBytes)
+		}
+	}
+	if 20*wc.writes >= spilledRows {
+		t.Fatalf("pass C made %d writes for %d spilled rows", wc.writes, spilledRows)
+	}
+}
+
+// TestLoadCompCorruptExtent: an extent that ends short, or whose frames
+// overrun or fall short of the component's nonzeros, comes back from
+// loadComp as a corrupt-frame error, never a panic or a short
+// component.
+func TestLoadCompCorruptExtent(t *testing.T) {
+	spill := newSpillFile(t.TempDir())
+	defer spill.close()
+	var enc []byte
+	for _, r := range [][]int{{0, 1, 2}, {1, 2, 3}, {0, 3}} {
+		enc = appendFrame(enc, r)
+	}
+	off, err := spill.alloc(int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spill.writeAt(enc, off); err != nil {
+		t.Fatal(err)
+	}
+	s := &sched{spill: spill}
+	n := int64(len(enc))
+	for name, c := range map[string]comp{
+		"ends short":       {rows: 4, nnz: 8, frameBytes: n},
+		"past end of file": {rows: 4, nnz: 8, frameBytes: n + 16},
+		"cut mid-frame":    {rows: 3, nnz: 8, frameBytes: n - 1},
+		"overruns nnz":     {rows: 3, nnz: 5, frameBytes: n},
+		"short of nnz":     {rows: 3, nnz: 9, frameBytes: n},
+	} {
+		c.off = off
+		if rows, err := s.loadComp(&c); !errors.Is(err, errCorruptFrame) {
+			t.Fatalf("%s: got rows %v, err %v; want a corrupt-frame error", name, rows, err)
+		}
+	}
+}
+
 // TestFrameRoundTrip: the binary frame encoding decodes to exactly the
 // input across random rows, including empty ones.
 func TestFrameRoundTrip(t *testing.T) {
@@ -358,4 +459,39 @@ func TestShardedMalformedSources(t *testing.T) {
 	if _, err := Solve(MatrixText(bytes.NewReader([]byte("p 1 2\nr 7\n"))), scg.Options{MemBudget: 1 << 20}); err == nil {
 		t.Fatal("column outside universe accepted")
 	}
+}
+
+// FuzzShardedMatchesDirect: over random component shapes with injected
+// empty rows, budgets from 1 KiB to 1 MiB, Workers 1-4 and
+// DisablePartition, the sharded solve stays bit-identical to scg.Solve.
+func FuzzShardedMatchesDirect(f *testing.F) {
+	f.Add(int64(11), uint8(9), uint8(14), uint8(10), uint8(3), uint8(7), uint8(0), uint32(15<<10), uint8(0), false)
+	f.Add(int64(14), uint8(12), uint8(24), uint8(10), uint8(3), uint8(4), uint8(4), uint32(23<<10), uint8(1), false)
+	f.Add(int64(13), uint8(6), uint8(16), uint8(15), uint8(7), uint8(9), uint8(1), uint32(39<<10), uint8(3), false)
+	f.Add(int64(12), uint8(4), uint8(30), uint8(12), uint8(4), uint8(5), uint8(2), uint32(3<<10), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, comps, rows, cols, degree, maxCost, emptyEvery uint8, budget uint32, workers uint8, noPartition bool) {
+		spec := benchmarks.ComponentSpec{
+			Seed:        seed,
+			Components:  1 + int(comps%16),
+			RowsPerComp: 1 + int(rows%32),
+			ColsPerComp: 1 + int(cols%16),
+			MaxCost:     int(maxCost % 10),
+		}
+		spec.RowDegree = 1 + int(degree)%spec.ColsPerComp
+		p, err := benchmarks.ComponentCovering(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if emptyEvery%8 != 0 {
+			p = withEmptyRows(p, int(emptyEvery%8))
+		}
+		opt := scg.Options{Seed: seed, NumIter: 2, Workers: 1 + int(workers%4), DisablePartition: noPartition}
+		direct := scg.Solve(p, opt)
+		opt.MemBudget = 1<<10 + int64(budget)%(1<<20-1<<10+1)
+		res, err := SolveProblem(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, direct, res, fmt.Sprintf("%+v empty every %d, budget %d", spec, emptyEvery%8, opt.MemBudget))
+	})
 }
