@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzZDDChain$$' -fuzztime $(FUZZTIME) ./internal/zdd
 	$(GO) test -run '^$$' -fuzz '^FuzzZDDFamily$$' -fuzztime $(FUZZTIME) ./internal/zdd
 	$(GO) test -run '^$$' -fuzz '^FuzzImplicitAgreesWithExplicit$$' -fuzztime $(FUZZTIME) ./internal/scg
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveMatchesKeep$$' -fuzztime $(FUZZTIME) ./internal/scg
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedyMatchesNaive$$' -fuzztime $(FUZZTIME) ./internal/lagrangian
 
 # bench measures the hot substrates (5 repetitions each, plus the

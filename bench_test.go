@@ -13,6 +13,7 @@ package ucp
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ucp/internal/bdd"
@@ -508,7 +509,7 @@ func BenchmarkSolveCached(b *testing.B) {
 
 // deltaRow1 builds the single-row edit: one near-duplicate (superset)
 // of an existing row, the shape an iterated minimisation loop submits.
-func deltaRow1(p *matrix.Problem) *Delta {
+func deltaRow1(p *matrix.Problem) *matrix.Problem {
 	src := p.Rows[len(p.Rows)/2]
 	extra := 0
 	for _, j := range src {
@@ -516,50 +517,37 @@ func deltaRow1(p *matrix.Problem) *Delta {
 			extra++
 		}
 	}
-	row := append(append([]int(nil), src...), extra%p.NCol)
-	d, err := p.AddRows([][]int{row})
-	if err != nil {
-		panic(err)
-	}
-	return d
+	return withRows(p, append(slices.Clone(src), extra%p.NCol))
 }
 
 // deltaCol1 builds the single-column edit: one fresh column covering a
 // handful of spread-out rows.
-func deltaCol1(p *matrix.Problem) *Delta {
-	cover := make([]int, 0, 8)
-	for i := 0; i < len(p.Rows); i += 1 + len(p.Rows)/8 {
-		cover = append(cover, i)
+func deltaCol1(p *matrix.Problem) *matrix.Problem {
+	rows := slices.Clone(p.Rows)
+	for i := 0; i < len(rows); i += 1 + len(rows)/8 {
+		rows[i] = append(slices.Clone(rows[i]), p.NCol)
 	}
-	d, err := p.AddCols([]int{p.Cost[0] + 1}, [][]int{cover})
-	if err != nil {
-		panic(err)
-	}
-	return d
+	return matrix.MustNew(rows, p.NCol+1, append(slices.Clone(p.Cost), p.Cost[0]+1))
 }
 
 // deltaBatch5 builds the 5% batch edit: near-duplicate rows appended
 // for one row in twenty.
-func deltaBatch5(p *matrix.Problem) *Delta {
+func deltaBatch5(p *matrix.Problem) *matrix.Problem {
 	var rows [][]int
 	for i := 0; i < len(p.Rows); i += 20 {
 		src := p.Rows[i]
-		rows = append(rows, append(append([]int(nil), src...), (src[0]+i+1)%p.NCol))
+		rows = append(rows, append(slices.Clone(src), (src[0]+i+1)%p.NCol))
 	}
-	d, err := p.AddRows(rows)
-	if err != nil {
-		panic(err)
-	}
-	return d
+	return withRows(p, rows...)
 }
 
 // BenchmarkDeltaResolve measures the incremental re-solve path against
 // a from-scratch kept solve of the same edited instance: cold is the
 // baseline SolveSCGKeep of the single-row child, row1/col1/batch5pct
-// are Solver.Resolve with the parent state in hand.  The acceptance
-// bar is row1 ≤ 25% of cold ns/op (target ~10%); results are
-// bit-identical to cold by the replay contract, checked every
-// iteration.  Instances: a scpd1-shaped random covering (400×4000,
+// are Solver.Resolve of the edited child with the parent state in
+// hand, row matching included.  The acceptance bar is row1 ≤ 25% of
+// cold ns/op (target ~10%); results are bit-identical to cold by the
+// replay contract, checked every iteration.  Instances: a scpd1-shaped random covering (400×4000,
 // 5% density, the OR-Library hard-set shape) and the max1024 covering
 // from the paper's difficult cyclic set.
 func BenchmarkDeltaResolve(b *testing.B) {
@@ -581,8 +569,8 @@ func BenchmarkDeltaResolve(b *testing.B) {
 		b.Run(inst.name, func(b *testing.B) {
 			p := inst.p
 			edits := []struct {
-				name string
-				d    *Delta
+				name  string
+				child *matrix.Problem
 			}{
 				{"row1", deltaRow1(p)},
 				{"col1", deltaCol1(p)},
@@ -590,8 +578,8 @@ func BenchmarkDeltaResolve(b *testing.B) {
 			}
 			b.Run("cold", func(b *testing.B) {
 				b.ReportAllocs()
-				s := NewSolver(SolverOptions{ArenaSize: -1})
-				child := edits[0].d.Child
+				s := NewSolver(SolverOptions{})
+				child := edits[0].child
 				for i := 0; i < b.N; i++ {
 					if res, _ := s.SolveSCGKeep(child, opt); res.Solution == nil {
 						b.Fatal("no solution")
@@ -601,15 +589,15 @@ func BenchmarkDeltaResolve(b *testing.B) {
 			for _, e := range edits {
 				b.Run(e.name, func(b *testing.B) {
 					b.ReportAllocs()
-					s := NewSolver(SolverOptions{ArenaSize: -1})
+					s := NewSolver(SolverOptions{})
 					_, keep := s.SolveSCGKeep(p, opt)
-					want, _ := s.SolveSCGKeep(e.d.Child, opt)
+					want, _ := s.SolveSCGKeep(e.child, opt)
 					if want.Solution == nil {
 						b.Fatal("no solution")
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res, _ := s.Resolve(e.d, keep, opt, ResolveOptions{})
+						res, _ := s.Resolve(e.child, keep, opt)
 						if res.Cost != want.Cost || res.Stats.Runs != want.Stats.Runs {
 							b.Fatalf("resolve diverged from cold: cost %d vs %d", res.Cost, want.Cost)
 						}

@@ -9,9 +9,9 @@
 //	ucpsolve -orlib scp41.txt [-solver scg|exact|greedy] [-bounds]
 //	ucpsolve -matrix f.ucp -delta g.ucp   # solve f, then re-solve g incrementally
 //
-// With -delta the second instance is solved by delta replay against
-// the first solve's retained state (scg only): the edit between the
-// two is reconstructed row by row, the recorded reductions are
+// With -delta the second instance is re-solved against the first
+// solve's retained state (scg only): its rows are matched to the
+// first instance's by content, the recorded reductions are
 // re-verified and replayed, and untouched portfolio blocks are reused
 // — the result is bit-identical to solving the second instance from
 // scratch.
@@ -375,9 +375,8 @@ func runStream(sess *session, path string, orlib bool, opt ucp.SCGOptions) {
 		res.Stats.ShardRespilled, res.Stats.ShardDegraded, res.Stats.ShardPeakBytes)
 }
 
-// runDelta solves p with the state kept, reconstructs the edit to q,
-// and re-solves q incrementally, reporting both results and the
-// speedup.
+// runDelta solves p with the state kept and re-solves q against that
+// state, reporting both results and the speedup.
 func runDelta(sess *session, p, q *ucp.Problem, seed int64, numIter, workers int, bud ucp.Budget) {
 	fmt.Printf("delta:   %d rows, %d columns\n", len(q.Rows), q.NCol)
 	opt := ucp.SCGOptions{Seed: seed, NumIter: numIter, Workers: workers, Budget: bud}
@@ -395,9 +394,8 @@ func runDelta(sess *session, p, q *ucp.Problem, seed int64, numIter, workers int
 	}
 	fmt.Printf("base:    cost %d%s, LB %.3f, %v\n", base.Cost, optB, base.LB, baseTime.Round(time.Millisecond))
 
-	d := ucp.DeltaBetween(p, q)
 	t1 := time.Now()
-	res, _ := sess.Resolve(d, keep, opt, ucp.ResolveOptions{})
+	res, _ := sess.Resolve(q, keep, opt)
 	resTime := time.Since(t1)
 	if res.Solution == nil {
 		fatal("delta problem is infeasible")

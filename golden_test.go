@@ -3,6 +3,7 @@ package ucp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ucp/internal/benchmarks"
@@ -41,36 +42,31 @@ func pinInstances(t *testing.T) map[string]*Problem {
 	}
 }
 
-// pinEdit is step k of the deterministic edit chain the pin resolves
-// along: a near-duplicate row, a fresh column over the first rows, a
-// dropped first row.
-func pinEdit(t *testing.T, p *Problem, k int) *Delta {
-	var d *Delta
-	var err error
+// pinEdit returns step k of the deterministic edit chain the pin
+// resolves along, applied to p: a near-duplicate row, a fresh column
+// (cost 1) over the first rows, a dropped first row.
+func pinEdit(p *Problem, k int) *Problem {
+	rows, ncol, cost := slices.Clone(p.Rows), p.NCol, slices.Clone(p.Cost)
 	switch k {
 	case 0:
 		row := []int{0, 1}
-		if len(p.Rows) > 0 {
-			row = append(append([]int(nil), p.Rows[len(p.Rows)/2]...), 0)
+		if len(rows) > 0 {
+			row = append(slices.Clone(rows[len(rows)/2]), 0)
 		}
-		d, err = p.AddRows([][]int{row})
+		rows = append(rows, row)
 	case 1:
-		var cover []int
-		for i := 0; i < len(p.Rows) && i < 3; i++ {
-			cover = append(cover, i)
+		for i := 0; i < len(rows) && i < 3; i++ {
+			rows[i] = append(slices.Clone(rows[i]), ncol)
 		}
-		d, err = p.AddCols([]int{1}, [][]int{cover})
+		ncol, cost = ncol+1, append(cost, 1)
 	default:
-		if len(p.Rows) > 1 {
-			d, err = p.RemoveRows([]int{0})
+		if len(rows) > 1 {
+			rows = rows[1:]
 		} else {
-			d, err = p.AddRows([][]int{{0}})
+			rows = append(rows, []int{0})
 		}
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return matrix.MustNew(rows, ncol, cost)
 }
 
 // pinLine renders everything the bit-identity contract covers.
@@ -167,16 +163,15 @@ func TestPinnedOutputs(t *testing.T) {
 		check("spill", "solve", res)
 
 		opt.Workers = 2
-		s := NewSolver(SolverOptions{ArenaSize: -1})
+		s := NewSolver(SolverOptions{})
 		kept, keep := s.SolveSCGKeep(p, opt)
 		check("keep", "keep", kept)
 		cur := p
 		for k := 0; k < 3; k++ {
-			d := pinEdit(t, cur, k)
+			cur = pinEdit(cur, k)
 			var got *SCGResult
-			got, keep = s.Resolve(d, keep, opt, ResolveOptions{})
+			got, keep = s.Resolve(cur, keep, opt)
 			check(fmt.Sprintf("resolve step %d", k+1), fmt.Sprintf("resolve%d", k+1), got)
-			cur = d.Child
 		}
 	}
 }

@@ -475,22 +475,6 @@ func SubFingerprint(p *matrix.Problem) Fingerprint {
 	}
 }
 
-// ProblemKey fingerprints a problem in its own label space for the
-// incremental-resolve ancestor arena: SubFingerprint folded with the
-// universe size and a digest of the whole cost vector.  Unlike the
-// cache's canonical fingerprint it is O(nnz + NCol) with no search,
-// and unlike SubFingerprint alone it separates instances that differ
-// only in unreferenced columns — the arena validates a hit with full
-// structural equality, so the extra discrimination buys fewer wasted
-// comparisons, not correctness.
-func ProblemKey(p *matrix.Problem) Fingerprint {
-	h := mix64(uint64(p.NCol) * mulA)
-	for _, c := range p.Cost {
-		h = mix64(h ^ uint64(c)*mulB)
-	}
-	return SubFingerprint(p).Derive(h)
-}
-
 // RowHash hashes one sorted row (ids plus their costs) for the
 // commutative combination used by SubFingerprint.
 func RowHash(r []int, cost []int) uint64 {

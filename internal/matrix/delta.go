@@ -1,202 +1,36 @@
 package matrix
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 )
 
-// Delta records an edit script from a parent problem to a child: the
-// two instances plus the row correspondence between them.  Deltas are
-// the unit of incremental re-solving — ReplayReduce uses the parent's
-// recorded reduction facts to shortcut the child's fixpoint, and the
-// scg layer reuses whole portfolio blocks whose rows survived the edit
-// untouched.
-//
-// Column ids are stable across a delta by construction: AddCols
-// appends fresh ids at the top of the universe and RemoveCols empties
-// a column without renumbering, so a column id means the same column
-// in parent and child.  Rows keep their relative order (edits remove
-// or append, never reorder), which the replay's duplicate-row
-// tie-break relies on.
-//
-// A Delta is immutable: every edit method returns a new handle against
-// the same parent.  The child shares the storage of unedited rows with
-// the parent, so problems reachable through a Delta must be treated as
-// read-only (every solver in this module already does).
+// Delta is the input of an incremental reduction: a parent problem, a
+// child, and the row correspondence between them.  ReplayReduce uses
+// it to carry the parent's recorded reduction facts over to the child.
+// Column ids are taken to mean the same column in parent and child.
 type Delta struct {
-	// Parent and Child are the endpoints of the edit script.
+	// Parent and Child are the two instances.
 	Parent *Problem
 	Child  *Problem
-	// RowMap[i] is the parent row index child row i descends from, or
-	// -1 for a row the edit script added.  Matched indices are strictly
-	// increasing: the edit script never reorders surviving rows.
+	// RowMap[i] is the parent row child row i descends from, or -1 for
+	// a row with no parent.  The correspondence is a hint: ReplayReduce
+	// re-verifies every fact it carries, so a wrong entry costs speed,
+	// never correctness.
 	RowMap []int
 }
 
-// BeginDelta opens an identity delta on p: child == parent, every row
-// mapped to itself.  Edit methods chain from it.
-func (p *Problem) BeginDelta() *Delta {
-	m := make([]int, len(p.Rows))
-	for i := range m {
-		m[i] = i
-	}
-	return &Delta{Parent: p, Child: p, RowMap: m}
-}
-
-// AddRows returns the delta that appends the given rows to p.  Rows
-// are normalised like New (sorted, deduplicated, bounds-checked).
-func (p *Problem) AddRows(rows [][]int) (*Delta, error) { return p.BeginDelta().AddRows(rows) }
-
-// RemoveRows returns the delta that deletes the rows at the given
-// indices from p.
-func (p *Problem) RemoveRows(idx []int) (*Delta, error) { return p.BeginDelta().RemoveRows(idx) }
-
-// AddCols returns the delta that appends len(cost) fresh columns to
-// p's universe; cover[k] lists the row indices the k-th new column
-// covers.
-func (p *Problem) AddCols(cost []int, cover [][]int) (*Delta, error) {
-	return p.BeginDelta().AddCols(cost, cover)
-}
-
-// RemoveCols returns the delta that empties the given columns of p:
-// the ids stay in the universe (and keep their cost) but cover no row.
-func (p *Problem) RemoveCols(ids []int) (*Delta, error) { return p.BeginDelta().RemoveCols(ids) }
-
-// AddRows appends rows to the child, normalising each like New.
-func (d *Delta) AddRows(rows [][]int) (*Delta, error) {
-	c := d.Child
-	nr := make([][]int, 0, len(c.Rows)+len(rows))
-	nr = append(nr, c.Rows...)
-	nm := make([]int, 0, len(d.RowMap)+len(rows))
-	nm = append(nm, d.RowMap...)
-	for i, r := range rows {
-		rr := append([]int(nil), r...)
-		sort.Ints(rr)
-		out := rr[:0]
-		for k, j := range rr {
-			if j < 0 || j >= c.NCol {
-				return nil, fmt.Errorf("matrix: added row %d references column %d outside universe %d", i, j, c.NCol)
-			}
-			if k > 0 && rr[k-1] == j {
-				continue
-			}
-			out = append(out, j)
-		}
-		nr = append(nr, out)
-		nm = append(nm, -1)
-	}
-	return &Delta{Parent: d.Parent, Child: &Problem{Rows: nr, NCol: c.NCol, Cost: c.Cost}, RowMap: nm}, nil
-}
-
-// RemoveRows deletes the child rows at the given indices (duplicates
-// collapsed).
-func (d *Delta) RemoveRows(idx []int) (*Delta, error) {
-	c := d.Child
-	drop := make([]bool, len(c.Rows))
-	for _, i := range idx {
-		if i < 0 || i >= len(c.Rows) {
-			return nil, fmt.Errorf("matrix: RemoveRows index %d out of range (%d rows)", i, len(c.Rows))
-		}
-		drop[i] = true
-	}
-	var nr [][]int
-	var nm []int
-	for i, r := range c.Rows {
-		if !drop[i] {
-			nr = append(nr, r)
-			nm = append(nm, d.RowMap[i])
-		}
-	}
-	return &Delta{Parent: d.Parent, Child: &Problem{Rows: nr, NCol: c.NCol, Cost: c.Cost}, RowMap: nm}, nil
-}
-
-// AddCols appends len(cost) fresh columns (ids NCol..NCol+k-1) to the
-// child's universe; cover[k] lists the child row indices the k-th new
-// column covers.  A fresh id is larger than every existing one, so the
-// insert keeps each row sorted with a single append.
-func (d *Delta) AddCols(cost []int, cover [][]int) (*Delta, error) {
-	if len(cost) != len(cover) {
-		return nil, fmt.Errorf("matrix: AddCols got %d costs for %d columns", len(cost), len(cover))
-	}
-	c := d.Child
-	nc := c.NCol + len(cost)
-	ncost := make([]int, 0, nc)
-	ncost = append(ncost, c.Cost...)
-	for k, ct := range cost {
-		if ct < 0 {
-			return nil, fmt.Errorf("matrix: added column %d has negative cost %d", k, ct)
-		}
-		ncost = append(ncost, ct)
-	}
-	nr := make([][]int, len(c.Rows))
-	copy(nr, c.Rows)
-	touched := make([]bool, len(c.Rows))
-	for k, rows := range cover {
-		id := c.NCol + k
-		for _, i := range rows {
-			if i < 0 || i >= len(nr) {
-				return nil, fmt.Errorf("matrix: added column %d covers row %d out of range (%d rows)", k, i, len(nr))
-			}
-			if !touched[i] {
-				// Copy on first touch: the old slice may be shared with
-				// the parent (or an earlier delta in the chain).
-				nr[i] = append(make([]int, 0, len(nr[i])+len(cost)), nr[i]...)
-				touched[i] = true
-			}
-			if r := nr[i]; len(r) > 0 && r[len(r)-1] == id {
-				continue // duplicate row index in cover
-			}
-			nr[i] = append(nr[i], id)
-		}
-	}
-	nm := append([]int(nil), d.RowMap...)
-	return &Delta{Parent: d.Parent, Child: &Problem{Rows: nr, NCol: nc, Cost: ncost}, RowMap: nm}, nil
-}
-
-// RemoveCols empties the given child columns: every row drops them,
-// the universe and the cost vector stay put.
-func (d *Delta) RemoveCols(ids []int) (*Delta, error) {
-	c := d.Child
-	dead := make([]bool, c.NCol)
-	for _, j := range ids {
-		if j < 0 || j >= c.NCol {
-			return nil, fmt.Errorf("matrix: RemoveCols id %d outside universe %d", j, c.NCol)
-		}
-		dead[j] = true
-	}
-	nr := make([][]int, len(c.Rows))
-	for i, r := range c.Rows {
-		hit := false
-		for _, j := range r {
-			if dead[j] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			nr[i] = r
-			continue
-		}
-		out := make([]int, 0, len(r)-1)
-		for _, j := range r {
-			if !dead[j] {
-				out = append(out, j)
-			}
-		}
-		nr[i] = out
-	}
-	nm := append([]int(nil), d.RowMap...)
-	return &Delta{Parent: d.Parent, Child: &Problem{Rows: nr, NCol: c.NCol, Cost: c.Cost}, RowMap: nm}, nil
-}
-
 // rowContentHash folds a row's column ids into a 64-bit hash for
-// DeltaBetween's content matching (splitmix-style mixing per id).
+// DeltaBetween's content matching: one multiply per id (FNV-1a over
+// whole ids), then a splitmix finaliser.  The matcher compares row
+// contents before it matches, so a collision can cost a match, never
+// make a wrong one.
 func rowContentHash(r []int) uint64 {
 	h := uint64(len(r))*0x9e3779b97f4a7c15 + 1
 	for _, j := range r {
-		h = mixDelta(h ^ uint64(j)*0xbf58476d1ce4e5b9)
+		h = (h ^ uint64(j)) * 0x100000001b3
 	}
-	return h
+	return mixDelta(h)
 }
 
 func mixDelta(x uint64) uint64 {
@@ -208,75 +42,49 @@ func mixDelta(x uint64) uint64 {
 	return x
 }
 
-// DeltaBetween reconstructs a delta from two independently built
-// problems, for callers (the ucpd parent-chaining path) that hold the
-// instances but never kept a handle.  Rows are matched greedily and
-// monotonically by content: each child row takes the earliest
-// unmatched parent row with identical content that keeps the matched
-// parent indices strictly increasing; everything else maps to -1.  The
-// match is a hint, not a promise — ReplayReduce re-verifies every
-// replayed fact against the child's actual contents — so an imperfect
-// match costs speed, never correctness.
+// DeltaBetween matches the rows of two independently built problems by
+// content, greedily and monotonically: each child row takes the
+// earliest unmatched parent row with identical content that keeps the
+// matched parent indices strictly increasing; every other child row
+// maps to -1.  The universes may differ in size, and costs are not
+// compared (block reuse checks the costs a block references).
 //
-// The two universes may differ in size; costs are not compared here
-// (the scg reuse layer checks the costs a block actually references).
+// Parent rows sit in one slice sorted by (content hash, row index), so
+// each hash's run lists its rows in ascending order, and the run's
+// first entry counts how much of the run earlier matches consumed: a
+// constant number of allocations whatever the row count.
 func DeltaBetween(parent, child *Problem) *Delta {
-	// Bucket parent rows by content hash, each bucket in ascending row
-	// order; consume buckets front to back to keep the match monotone.
-	buckets := make(map[uint64][]int, len(parent.Rows))
-	for i, r := range parent.Rows {
-		h := rowContentHash(r)
-		buckets[h] = append(buckets[h], i)
+	type slot struct {
+		h    uint64
+		row  int32
+		used int32 // at a run's first entry: entries consumed
 	}
+	slots := make([]slot, len(parent.Rows))
+	for i, r := range parent.Rows {
+		slots[i] = slot{h: rowContentHash(r), row: int32(i)}
+	}
+	slices.SortFunc(slots, func(a, b slot) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
 	m := make([]int, len(child.Rows))
 	last := -1
 	for i, r := range child.Rows {
 		m[i] = -1
 		h := rowContentHash(r)
-		b := buckets[h]
-		for k, pi := range b {
-			if pi > last && sameRow(parent.Rows[pi], r) {
-				m[i] = pi
-				last = pi
-				buckets[h] = b[k+1:]
+		s, ok := slices.BinarySearchFunc(slots, h, func(e slot, h uint64) int { return cmp.Compare(e.h, h) })
+		if !ok {
+			continue
+		}
+		for k := s + int(slots[s].used); k < len(slots) && slots[k].h == h; k++ {
+			if pi := int(slots[k].row); pi > last && slices.Equal(parent.Rows[pi], r) {
+				m[i], last = pi, pi
+				slots[s].used = int32(k + 1 - s)
 				break
 			}
 		}
 	}
 	return &Delta{Parent: parent, Child: child, RowMap: m}
-}
-
-func sameRow(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if b[i] != x {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether two problems are identical instances: same
-// universe, same costs, same rows in the same order.  It is the
-// validation the ancestor arena runs behind a fingerprint match.
-func Equal(p, q *Problem) bool {
-	if p == nil || q == nil {
-		return p == q
-	}
-	if p.NCol != q.NCol || len(p.Rows) != len(q.Rows) || len(p.Cost) != len(q.Cost) {
-		return false
-	}
-	for j, c := range p.Cost {
-		if q.Cost[j] != c {
-			return false
-		}
-	}
-	for i, r := range p.Rows {
-		if !sameRow(r, q.Rows[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -58,7 +59,7 @@ func checkSplitEssentials(t *testing.T, label string, p *Problem) {
 			t.Fatalf("%s: %d core rows, fixpoint %d", tag, len(got.Core.Rows), len(want.Core.Rows))
 		}
 		for i, r := range want.Core.Rows {
-			if !sameRow(got.Core.Rows[i], r) {
+			if !slices.Equal(got.Core.Rows[i], r) {
 				t.Fatalf("%s: core row %d = %v, fixpoint %v", tag, i, got.Core.Rows[i], r)
 			}
 			o := got.RowOrigin[i]

@@ -2,15 +2,25 @@ package matrix
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// editScript applies up to 8 edits decoded from raw bytes to p.  The
-// decoding is fully deterministic in (p, raw) and every operand is
-// clamped into range, so any byte string is a valid script — the shape
-// the fuzzer needs.
-func editScript(p *Problem, raw []byte) (*Delta, error) {
-	d := p.BeginDelta()
+// editScript applies up to 8 edits decoded from raw bytes to p: added
+// rows (fresh and near-duplicate), dropped rows, added columns and
+// emptied columns.  The decoding is fully deterministic in (p, raw)
+// and every operand is clamped into range, so any byte string is a
+// valid script — the shape the fuzzer needs.  The returned delta's
+// RowMap is the edit's own provenance: every surviving row maps to the
+// parent row it came from, including rows whose content an added or
+// emptied column changed, which a content match leaves unmatched.
+func editScript(p *Problem, raw []byte) *Delta {
+	rows := slices.Clone(p.Rows)
+	ncol, cost := p.NCol, slices.Clone(p.Cost)
+	rowMap := make([]int, len(rows))
+	for i := range rowMap {
+		rowMap[i] = i
+	}
 	rnd := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {
 		if n <= 0 {
@@ -19,48 +29,67 @@ func editScript(p *Problem, raw []byte) (*Delta, error) {
 		rnd = mixDelta(rnd + 0xbf58476d1ce4e5b9)
 		return int(rnd % uint64(n))
 	}
+	addRow := func(r []int) {
+		r = slices.Clone(r)
+		slices.Sort(r)
+		rows = append(rows, slices.Compact(r))
+		rowMap = append(rowMap, -1)
+	}
 	ops := 0
 	for k := 0; k < len(raw) && ops < 8; k++ {
 		b := raw[k]
 		rnd ^= uint64(b) * 0x94d049bb133111eb
-		var err error
 		switch b % 5 {
 		case 0: // fresh random row
 			n := 1 + next(4)
 			row := make([]int, 0, n)
 			for t := 0; t < n; t++ {
-				row = append(row, next(d.Child.NCol))
+				row = append(row, next(ncol))
 			}
-			d, err = d.AddRows([][]int{row})
+			addRow(row)
 		case 1: // superset of an existing row (the near-duplicate case)
-			if len(d.Child.Rows) == 0 {
+			if len(rows) == 0 {
 				continue
 			}
-			src := d.Child.Rows[next(len(d.Child.Rows))]
-			row := append(append([]int(nil), src...), next(d.Child.NCol))
-			d, err = d.AddRows([][]int{row})
+			src := rows[next(len(rows))]
+			addRow(append(slices.Clone(src), next(ncol)))
 		case 2: // drop a row
-			if len(d.Child.Rows) <= 1 {
+			if len(rows) <= 1 {
 				continue
 			}
-			d, err = d.RemoveRows([]int{next(len(d.Child.Rows))})
+			i := next(len(rows))
+			rows, rowMap = slices.Delete(rows, i, i+1), slices.Delete(rowMap, i, i+1)
 		case 3: // fresh column covering a few rows
 			var cover []int
 			for t := 0; t <= next(3); t++ {
-				if len(d.Child.Rows) > 0 {
-					cover = append(cover, next(len(d.Child.Rows)))
+				if len(rows) > 0 {
+					cover = append(cover, next(len(rows)))
 				}
 			}
-			d, err = d.AddCols([]int{1 + next(3)}, [][]int{cover})
+			cost = append(cost, 1+next(3))
+			for _, i := range cover {
+				if r := rows[i]; len(r) == 0 || r[len(r)-1] != ncol {
+					rows[i] = append(slices.Clip(r), ncol)
+				}
+			}
+			ncol++
 		case 4: // empty a column
-			d, err = d.RemoveCols([]int{next(d.Child.NCol)})
-		}
-		if err != nil {
-			return nil, err
+			j := next(ncol)
+			for i, r := range rows {
+				if slices.Contains(r, j) {
+					rows[i] = slices.DeleteFunc(slices.Clone(r), func(x int) bool { return x == j })
+				}
+			}
 		}
 		ops++
 	}
-	return d, nil
+	return &Delta{Parent: p, Child: &Problem{Rows: rows, NCol: ncol, Cost: cost}, RowMap: rowMap}
+}
+
+// replayDeltas are the two correspondences a replay is checked over:
+// the content match DeltaBetween computes, and the edit's provenance.
+func replayDeltas(d *Delta) map[string]*Delta {
+	return map[string]*Delta{"matched": DeltaBetween(d.Parent, d.Child), "provenance": d}
 }
 
 // checkReplay reduces d's child cold and by replay and asserts the two
@@ -74,87 +103,17 @@ func checkReplay(t *testing.T, label string, d *Delta, trace *ReduceTrace, worke
 	return newTrace
 }
 
-func TestDeltaEditAPI(t *testing.T) {
-	p := MustNew([][]int{{0, 1}, {1, 2}, {0, 3}}, 4, []int{1, 2, 3, 4})
-
-	d, err := p.AddRows([][]int{{2, 0, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Child.Rows[3]; !sameRow(got, []int{0, 2}) {
-		t.Fatalf("AddRows did not normalise: %v", got)
-	}
-	if want := []int{0, 1, 2, -1}; !sameRow(d.RowMap, want) {
-		t.Fatalf("AddRows RowMap = %v, want %v", d.RowMap, want)
-	}
-
-	d, err = d.RemoveRows([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 2, -1}; !sameRow(d.RowMap, want) {
-		t.Fatalf("RemoveRows RowMap = %v, want %v", d.RowMap, want)
-	}
-
-	d, err = d.AddCols([]int{7}, [][]int{{0, 2, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Child.NCol != 5 || d.Child.Cost[4] != 7 {
-		t.Fatalf("AddCols universe: NCol=%d Cost=%v", d.Child.NCol, d.Child.Cost)
-	}
-	if got := d.Child.Rows[0]; !sameRow(got, []int{0, 1, 4}) {
-		t.Fatalf("AddCols row 0 = %v", got)
-	}
-	if got := d.Child.Rows[2]; !sameRow(got, []int{0, 2, 4}) {
-		t.Fatalf("AddCols row 2 = %v (duplicate cover index must collapse)", got)
-	}
-
-	d, err = d.RemoveCols([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Child.Rows[0]; !sameRow(got, []int{1, 4}) {
-		t.Fatalf("RemoveCols row 0 = %v", got)
-	}
-	if d.Child.NCol != 5 {
-		t.Fatalf("RemoveCols must keep the universe, NCol=%d", d.Child.NCol)
-	}
-	// The parent is never disturbed by any of it.
-	if !Equal(p, MustNew([][]int{{0, 1}, {1, 2}, {0, 3}}, 4, []int{1, 2, 3, 4})) {
-		t.Fatal("edits mutated the parent problem")
-	}
-
-	// Error paths.
-	if _, err := p.AddRows([][]int{{99}}); err == nil {
-		t.Fatal("AddRows accepted an out-of-universe column")
-	}
-	if _, err := p.RemoveRows([]int{17}); err == nil {
-		t.Fatal("RemoveRows accepted an out-of-range index")
-	}
-	if _, err := p.AddCols([]int{-1}, [][]int{nil}); err == nil {
-		t.Fatal("AddCols accepted a negative cost")
-	}
-	if _, err := p.RemoveCols([]int{-3}); err == nil {
-		t.Fatal("RemoveCols accepted a bad id")
-	}
-}
-
 func TestDeltaBetween(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 80; trial++ {
 		p := randReduceProblem(rng, 30, 25, 3, false)
 		raw := make([]byte, 1+rng.Intn(10))
 		rng.Read(raw)
-		d, err := editScript(p, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := DeltaBetween(p, d.Child)
+		child := editScript(p, raw).Child
+		got := DeltaBetween(p, child)
 		// The reconstruction must be a valid monotone content match:
 		// every matched pair identical, parent indices increasing.
 		last := -1
-		matched := 0
 		for i, pi := range got.RowMap {
 			if pi < 0 {
 				continue
@@ -162,18 +121,38 @@ func TestDeltaBetween(t *testing.T) {
 			if pi <= last {
 				t.Fatalf("trial %d: match not monotone at child row %d", trial, i)
 			}
-			if !sameRow(p.Rows[pi], d.Child.Rows[i]) {
-				t.Fatalf("trial %d: mismatched rows %v vs %v", trial, p.Rows[pi], d.Child.Rows[i])
+			if !slices.Equal(p.Rows[pi], child.Rows[i]) {
+				t.Fatalf("trial %d: mismatched rows %v vs %v", trial, p.Rows[pi], child.Rows[i])
 			}
 			last = pi
-			matched++
 		}
 		// And it must be good enough to power an exact replay.
-		trace := &ReduceTrace{}
-		_, trace = ReduceTrackedTrace(p, nil, 1)
-		want, _ := ReduceTrackedTrace(d.Child, nil, 1)
+		_, trace := ReduceTrackedTrace(p, nil, 1)
+		want, _ := ReduceTrackedTrace(child, nil, 1)
 		res, _ := ReplayReduce(got, trace, nil, 1)
 		sameTracked(t, "deltabetween-replay", res, want)
+	}
+	// Duplicate rows match in order, and a row whose only twin an
+	// earlier match passed stays unmatched.
+	p := MustNew([][]int{{0, 1}, {2}, {0, 1}, {1, 2}}, 3, nil)
+	q := MustNew([][]int{{1, 2}, {0, 1}, {0, 1}, {2}}, 3, nil)
+	if got, want := DeltaBetween(p, q).RowMap, []int{3, -1, -1, -1}; !slices.Equal(got, want) {
+		t.Fatalf("RowMap = %v, want %v", got, want)
+	}
+	q = MustNew([][]int{{0, 1}, {0, 1}, {1, 2}, {0}}, 3, nil)
+	if got, want := DeltaBetween(p, q).RowMap, []int{0, 2, 3, -1}; !slices.Equal(got, want) {
+		t.Fatalf("RowMap = %v, want %v", got, want)
+	}
+}
+
+// TestDeltaBetweenAllocs: the matcher allocates its sorted slot slice,
+// the row map and the delta, whatever the row count.
+func TestDeltaBetweenAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	p := randReduceProblem(rng, 400, 60, 3, false)
+	d := editScript(p, []byte{0, 1, 2, 3, 4, 0, 1})
+	if n := testing.AllocsPerRun(20, func() { DeltaBetween(p, d.Child) }); n > 3 {
+		t.Fatalf("DeltaBetween made %v allocations, want at most 3", n)
 	}
 }
 
@@ -193,12 +172,15 @@ func TestReplayReduceMatchesCold(t *testing.T) {
 		for gen := 0; gen < 3; gen++ {
 			raw := make([]byte, 1+rng.Intn(8))
 			rng.Read(raw)
-			d, err := editScript(cur, raw)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := editScript(cur, raw)
 			workers := []int{1, 2, 4}[trial%3]
-			trace = checkReplay(t, "chain", d, trace, workers)
+			traces := map[string]*ReduceTrace{}
+			for name, dd := range replayDeltas(d) {
+				traces[name] = checkReplay(t, "chain "+name, dd, trace, workers)
+			}
+			// Either trace describes the child; alternate which one
+			// seeds the next generation.
+			trace = traces[[]string{"matched", "provenance"}[(trial+gen)%2]]
 			cur = d.Child
 		}
 	}
@@ -216,10 +198,7 @@ func TestReplayReduceStaleTrace(t *testing.T) {
 		_, alien := ReduceTrackedTrace(q, nil, 1)
 		raw := make([]byte, 1+rng.Intn(6))
 		rng.Read(raw)
-		d, err := editScript(p, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := editScript(p, raw)
 		// Clamp the alien facts into p's index space so they are
 		// plausible-but-wrong rather than discarded on bounds.
 		for i := range alien.RowKills {
@@ -227,14 +206,17 @@ func TestReplayReduceStaleTrace(t *testing.T) {
 			alien.RowKills[i][1] %= int32(len(p.Rows))
 		}
 		want, _ := ReduceTrackedTrace(d.Child, nil, 1)
-		got, _ := ReplayReduce(d, alien, nil, 1)
-		sameTracked(t, "stale", got, want)
+		for name, dd := range replayDeltas(d) {
+			got, _ := ReplayReduce(dd, alien, nil, 1)
+			sameTracked(t, "stale "+name, got, want)
+		}
 	}
 }
 
 // FuzzDeltaReplay drives the replay equivalence from raw fuzz input: a
 // seed picks the base instance, the script bytes pick the edits, and
-// the replayed reduction must equal the cold one bit for bit.
+// the replayed reduction must equal the cold one bit for bit under
+// both the content match and the edit's provenance.
 func FuzzDeltaReplay(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4})
 	f.Add(int64(7), []byte{4, 4, 4})
@@ -243,14 +225,13 @@ func FuzzDeltaReplay(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randReduceProblem(rng, 25, 25, 3, false)
 		_, trace := ReduceTrackedTrace(p, nil, 1)
-		d, err := editScript(p, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := editScript(p, raw)
 		for _, workers := range []int{1, 4} {
 			want, _ := ReduceTrackedTrace(d.Child, nil, workers)
-			got, _ := ReplayReduce(d, trace, nil, workers)
-			sameTracked(t, "fuzz", got, want)
+			for name, dd := range replayDeltas(d) {
+				got, _ := ReplayReduce(dd, trace, nil, workers)
+				sameTracked(t, "fuzz "+name, got, want)
+			}
 		}
 	})
 }

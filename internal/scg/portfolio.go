@@ -46,14 +46,6 @@ type compState struct {
 	idx  int // block index within its part, half of the RNG stream id
 	part int // canonical index of the connected input part (see solvePart)
 
-	// capture asks init to snapshot the initial phase's multipliers
-	// (for later warm starts across solves); warm, when non-nil, seeds
-	// the initial subgradient phase instead of starting cold.  Warm
-	// starts trade the bit-identity contract for convergence speed —
-	// see ResolveOptions.WarmStart.
-	capture bool
-	warm    *warmStart
-
 	// Initial phase results.
 	ok        bool // block is coverable (always true post-reduction)
 	noRuns    bool // initial incumbent already matches ⌈LB⌉
@@ -61,12 +53,6 @@ type compState struct {
 	best      []int
 	bestCost  int
 	lb        float64
-
-	// Multiplier snapshots of the initial phase, kept when capture is
-	// set: lambdaSnap aligns with core.Rows, muSnap is indexed by
-	// original column id (length core.NCol).
-	lambdaSnap []float64
-	muSnap     []float64
 
 	// Restart jobs, indexed run-1.
 	runs []runResult
@@ -140,37 +126,12 @@ func runStates(states []*compState, pend []int, opt Options, tr *budget.Tracker,
 	})
 }
 
-// warmStart carries multipliers into a block's initial subgradient
-// phase: lambda aligns with the block's core rows, muByCol is indexed
-// by original column id (ids at or past its length start at zero).
-type warmStart struct {
-	lambda  []float64
-	muByCol []float64
-}
-
 // init runs the block's initial subgradient phase and prepares the
 // restart slots.
 func (cs *compState) init(opt Options, tr *budget.Tracker, sc *lagrangian.Scratch) {
 	compact, ids := cs.core.Compact()
-	var start *lagrangian.Multipliers
-	if w := cs.warm; w != nil && len(w.lambda) == len(cs.core.Rows) {
-		mu := make([]float64, compact.NCol)
-		for k, j := range ids {
-			if j < len(w.muByCol) {
-				mu[k] = w.muByCol[j]
-			}
-		}
-		start = &lagrangian.Multipliers{Lambda: w.lambda, Mu: mu}
-	}
-	sg := lagrangian.Subgradient(compact, opt.Params, start, 0, tr, sc)
+	sg := lagrangian.Subgradient(compact, opt.Params, nil, 0, tr, sc)
 	cs.initIters = sg.Iters
-	if cs.capture && len(sg.Lambda) == len(cs.core.Rows) && len(sg.Mu) == compact.NCol {
-		cs.lambdaSnap = append([]float64(nil), sg.Lambda...)
-		cs.muSnap = make([]float64, cs.core.NCol)
-		for k, j := range ids {
-			cs.muSnap[j] = sg.Mu[k]
-		}
-	}
 	if sg.Best == nil {
 		return // uncoverable block: ok stays false
 	}

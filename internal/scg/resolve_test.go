@@ -1,70 +1,81 @@
 package scg
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"ucp/internal/benchmarks"
-	"ucp/internal/bnb"
 	"ucp/internal/matrix"
 )
 
-// editProblem applies a few random edits to p through the public delta
-// API: added rows (fresh and near-duplicate), dropped rows, added
+// editProblem applies a few random edits to p and returns the child
+// problem: added rows (fresh and near-duplicate), dropped rows, added
 // columns, emptied columns.
-func editProblem(rng *rand.Rand, p *matrix.Problem) *matrix.Delta {
-	d := p.BeginDelta()
-	n := 1 + rng.Intn(4)
+func editProblem(rng *rand.Rand, p *matrix.Problem) *matrix.Problem {
+	return editWith(rng.Intn, p)
+}
+
+// editWith is editProblem over any source of bounded choices: next(n)
+// returns a value in [0, n).  Added rows are normalised like
+// matrix.New, an added column takes the next id with a cost of 1–3,
+// and an emptied column keeps its id and cost but covers no row; p is
+// never modified.
+func editWith(next func(int) int, p *matrix.Problem) *matrix.Problem {
+	rows := slices.Clone(p.Rows)
+	ncol, cost := p.NCol, slices.Clone(p.Cost)
+	addRow := func(r []int) {
+		slices.Sort(r)
+		rows = append(rows, slices.Compact(r))
+	}
+	n := 1 + next(4)
 	for e := 0; e < n; e++ {
-		var err error
-		switch rng.Intn(5) {
+		switch next(5) {
 		case 0: // fresh random row
 			var row []int
-			for t := 0; t <= rng.Intn(4); t++ {
-				row = append(row, rng.Intn(d.Child.NCol))
+			for t := 0; t <= next(4); t++ {
+				row = append(row, next(ncol))
 			}
-			d, err = d.AddRows([][]int{row})
+			addRow(row)
 		case 1: // superset near-duplicate of an existing row
-			if len(d.Child.Rows) == 0 {
+			if len(rows) == 0 {
 				continue
 			}
-			src := d.Child.Rows[rng.Intn(len(d.Child.Rows))]
-			row := append(append([]int(nil), src...), rng.Intn(d.Child.NCol))
-			d, err = d.AddRows([][]int{row})
+			src := rows[next(len(rows))]
+			addRow(append(slices.Clone(src), next(ncol)))
 		case 2: // drop a row
-			if len(d.Child.Rows) <= 2 {
+			if len(rows) <= 2 {
 				continue
 			}
-			d, err = d.RemoveRows([]int{rng.Intn(len(d.Child.Rows))})
+			i := next(len(rows))
+			rows = slices.Delete(rows, i, i+1)
 		case 3: // fresh column covering a few rows
 			var cover []int
-			for t := 0; t <= rng.Intn(3); t++ {
-				if len(d.Child.Rows) > 0 {
-					cover = append(cover, rng.Intn(len(d.Child.Rows)))
+			for t := 0; t <= next(3); t++ {
+				if len(rows) > 0 {
+					cover = append(cover, next(len(rows)))
 				}
 			}
-			d, err = d.AddCols([]int{1 + rng.Intn(3)}, [][]int{cover})
+			cost = append(cost, 1+next(3))
+			for _, i := range cover {
+				if r := rows[i]; len(r) == 0 || r[len(r)-1] != ncol {
+					rows[i] = append(slices.Clip(r), ncol)
+				}
+			}
+			ncol++
 		case 4: // empty a column, but keep every row coverable
-			j := rng.Intn(d.Child.NCol)
-			sole := false
-			for _, r := range d.Child.Rows {
-				if len(r) == 1 && r[0] == j {
-					sole = true
-					break
-				}
-			}
-			if sole {
+			j := next(ncol)
+			if slices.ContainsFunc(rows, func(r []int) bool { return len(r) == 1 && r[0] == j }) {
 				continue
 			}
-			d, err = d.RemoveCols([]int{j})
-		}
-		if err != nil {
-			panic(err)
+			for i, r := range rows {
+				if slices.Contains(r, j) {
+					rows[i] = slices.DeleteFunc(slices.Clone(r), func(x int) bool { return x == j })
+				}
+			}
 		}
 	}
-	return d
+	return &matrix.Problem{Rows: rows, NCol: ncol, Cost: cost}
 }
 
 // sameSolve asserts two results agree on everything the bit-identity
@@ -105,8 +116,8 @@ func TestSolveKeepMatchesSolve(t *testing.T) {
 		want := Solve(p, opt)
 		got, st := SolveKeep(p, opt)
 		sameSolve(t, "keep", got, want)
-		if st.Result() != got || !matrix.Equal(st.Problem(), p) {
-			t.Fatal("state accessors disagree with the returned result")
+		if st.Result() != got || st.problem != p {
+			t.Fatal("the state disagrees with the returned result")
 		}
 	}
 	// Connected cyclic instances large enough for the restarts to run.
@@ -144,14 +155,14 @@ func TestResolveMatchesCold(t *testing.T) {
 		_, st := SolveKeep(p, opt)
 		cur := p
 		for gen := 0; gen < 3; gen++ {
-			d := editProblem(rng, cur)
-			want, _ := SolveKeep(d.Child, opt)
-			got, next, info := ResolveState(d, st, opt, ResolveOptions{})
+			child := editProblem(rng, cur)
+			want, _ := SolveKeep(child, opt)
+			got, next, info := ResolveState(child, st, opt)
 			if info.Fallback {
 				t.Fatalf("trial %d gen %d: unexpected fallback", trial, gen)
 			}
 			sameSolve(t, "resolve", got, want)
-			st, cur = next, d.Child
+			st, cur = next, child
 		}
 	}
 }
@@ -167,13 +178,10 @@ func TestResolveAfterSettledParent(t *testing.T) {
 	if res.Stats.CoreRows != 0 || res.Cost != 2 {
 		t.Fatalf("parent: core %d rows, cost %d; want 0 rows, cost 2", res.Stats.CoreRows, res.Cost)
 	}
-	d, err := p.AddRows([][]int{{1, 3}, {0, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gen, d := range []*matrix.Delta{d, d.Child.BeginDelta()} {
-		want, _ := SolveKeep(d.Child, opt)
-		got, next, info := ResolveState(d, st, opt, ResolveOptions{})
+	child := matrix.MustNew(append(slices.Clone(p.Rows), []int{1, 3}, []int{0, 3}), 4, p.Cost)
+	for gen := 0; gen < 2; gen++ { // the edit, then the unchanged child
+		want, _ := SolveKeep(child, opt)
+		got, next, info := ResolveState(child, st, opt)
 		if info.Fallback {
 			t.Fatalf("gen %d: the resolve fell back", gen)
 		}
@@ -184,8 +192,8 @@ func TestResolveAfterSettledParent(t *testing.T) {
 
 // TestKeepStateNamesInputRows: the essential prepass drops rows before
 // a kept solve reduces, yet the kept reduction must still name input
-// rows, because warm starts and the next replay map through them:
-// every core row is a subset of the input row its RowOrigin names.
+// rows, because the next replay maps through them: every core row is a
+// subset of the input row its RowOrigin names.
 func TestKeepStateNamesInputRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	cores := 0
@@ -217,66 +225,41 @@ func TestKeepStateNamesInputRows(t *testing.T) {
 	}
 }
 
-// TestResolveIdentityReusesAllBlocks: an identity delta must reuse the
-// parent's portfolio wholesale.
+// TestResolveIdentityReusesAllBlocks: an unchanged child must reuse
+// the parent's portfolio wholesale.
 func TestResolveIdentityReusesAllBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng, 16, 14, 3)
 		opt := Options{Seed: int64(trial), NumIter: 2}
 		want, st := SolveKeep(p, opt)
-		got, _, info := ResolveState(p.BeginDelta(), st, opt, ResolveOptions{})
+		got, _, info := ResolveState(p, st, opt)
 		sameSolve(t, "identity", got, want)
 		if info.CompsSolved != 0 {
-			t.Fatalf("trial %d: identity delta re-solved %d blocks", trial, info.CompsSolved)
+			t.Fatalf("trial %d: unchanged child re-solved %d blocks", trial, info.CompsSolved)
 		}
 	}
 }
 
-// TestResolveWarmStart: warm-started resolves give up bit-identity but
-// must still produce a feasible cover and a valid lower bound.
-func TestResolveWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	for trial := 0; trial < 30; trial++ {
-		p := randomProblem(rng, 12, 10, 3)
-		opt := Options{Seed: int64(trial), NumIter: 2}
-		_, st := SolveKeep(p, opt)
-		d := editProblem(rng, p)
-		got, _, _ := ResolveState(d, st, opt, ResolveOptions{WarmStart: true})
-		if got.Solution == nil {
-			t.Fatalf("trial %d: warm resolve found no solution", trial)
-		}
-		if !d.Child.IsCover(got.Solution) {
-			t.Fatalf("trial %d: warm resolve returned a non-cover", trial)
-		}
-		ref := bnb.Solve(d.Child, bnb.Options{})
-		if math.Ceil(got.LB-1e-9) > float64(ref.Cost) {
-			t.Fatalf("trial %d: warm resolve LB %v exceeds optimum %d", trial, got.LB, ref.Cost)
-		}
-		if got.Cost < ref.Cost {
-			t.Fatalf("trial %d: impossible cost %d < optimum %d", trial, got.Cost, ref.Cost)
-		}
-	}
-}
-
-// TestResolveFallback: a nil, foreign or differently-configured parent
-// state degrades to a correct full solve and reports it.
+// TestResolveFallback: a nil or differently-configured parent state
+// degrades to a correct full solve and reports it; an unrelated parent
+// is usable, since the row match is computed from its own problem.
 func TestResolveFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	p := randomProblem(rng, 14, 12, 3)
 	q := randomProblem(rng, 14, 12, 3)
 	opt := Options{Seed: 9, NumIter: 2}
 	_, stQ := SolveKeep(q, opt)
-	d := editProblem(rng, p)
-	want, _ := SolveKeep(d.Child, opt)
+	child := editProblem(rng, p)
+	want, _ := SolveKeep(child, opt)
 
 	for name, st := range map[string]*SolveState{
 		"nil":     nil,
 		"foreign": stQ, // parent state of an unrelated problem
 	} {
-		got, _, info := ResolveState(d, st, opt, ResolveOptions{})
-		if !info.Fallback {
-			t.Fatalf("%s: fallback not reported", name)
+		got, _, info := ResolveState(child, st, opt)
+		if info.Fallback != (st == nil) {
+			t.Fatalf("%s: fallback %v", name, info.Fallback)
 		}
 		sameSolve(t, name, got, want)
 	}
@@ -285,8 +268,8 @@ func TestResolveFallback(t *testing.T) {
 	_, stP := SolveKeep(p, opt)
 	opt2 := opt
 	opt2.Seed = 10
-	want2, _ := SolveKeep(d.Child, opt2)
-	got2, _, info := ResolveState(d, stP, opt2, ResolveOptions{})
+	want2, _ := SolveKeep(child, opt2)
+	got2, _, info := ResolveState(child, stP, opt2)
 	if !info.Fallback {
 		t.Fatal("options change: fallback not reported")
 	}
@@ -295,10 +278,97 @@ func TestResolveFallback(t *testing.T) {
 	// A parent that differs only in the subgradient Params.
 	opt3 := opt
 	opt3.Params.MaxIters = 50
-	want3, _ := SolveKeep(d.Child, opt3)
-	got3, _, info := ResolveState(d, stP, opt3, ResolveOptions{})
+	want3, _ := SolveKeep(child, opt3)
+	got3, _, info := ResolveState(child, stP, opt3)
 	if !info.Fallback {
 		t.Fatal("params change: fallback not reported")
 	}
 	sameSolve(t, "params", got3, want3)
+}
+
+// unionOf places b beside a on fresh column ids: a problem whose rows
+// are a's, then b's, and whose parts are theirs.
+func unionOf(a, b *matrix.Problem) *matrix.Problem {
+	rows := slices.Clone(a.Rows)
+	for _, r := range b.Rows {
+		shifted := make([]int, len(r))
+		for k, j := range r {
+			shifted[k] = j + a.NCol
+		}
+		rows = append(rows, shifted)
+	}
+	return matrix.MustNew(rows, a.NCol+b.NCol, append(slices.Clone(a.Cost), b.Cost...))
+}
+
+// TestResolveReusesBlockOfUnrelatedParent: a parent that shares only
+// its first cyclic-core block with the child, beside a second block
+// the child does not have, hands that block over, and the result still
+// equals the cold kept solve.
+func TestResolveReusesBlockOfUnrelatedParent(t *testing.T) {
+	shared := benchmarks.CyclicCovering(2, 60, 45, 3)
+	parent := unionOf(shared, benchmarks.CyclicCovering(8, 60, 45, 3))
+	child := unionOf(shared, benchmarks.CyclicCovering(5, 50, 40, 3))
+	opt := Options{Seed: 11, NumIter: 3, Workers: 2}
+	_, st := SolveKeep(parent, opt)
+	if n := len(st.comps); n != 2 {
+		t.Fatalf("parent core has %d blocks, want 2", n)
+	}
+	want, _ := SolveKeep(child, opt)
+	got, _, info := ResolveState(child, st, opt)
+	if info.Fallback || info.CompsReused != 1 || info.CompsSolved != 1 {
+		t.Fatalf("info %+v: want the shared block reused and the other solved", info)
+	}
+	sameSolve(t, "unrelated parent", got, want)
+}
+
+// FuzzResolveMatchesKeep holds the resolve contract on arbitrary
+// edits: seed picks the parent problem, edit decodes the child's edits
+// (one byte per choice, 0 once the bytes run out), and pick chooses
+// the state to resolve against — the true parent, an unrelated one or
+// none — and Workers 1–4.  The resolve must equal the cold kept solve
+// of the child, and an unchanged child must reuse every block of its
+// true parent.
+func FuzzResolveMatchesKeep(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{})
+	f.Add(int64(2), uint8(3), []byte{2, 0, 3, 1, 2})
+	f.Add(int64(3), uint8(1), []byte{3, 1, 4, 2, 0, 1})
+	f.Add(int64(4), uint8(2), []byte{1, 4, 0, 2, 3, 3, 1})
+	f.Add(int64(5), uint8(9), []byte{3, 3, 2, 1, 0, 4, 1, 2, 7})
+	f.Fuzz(func(t *testing.T, seed int64, pick uint8, edit []byte) {
+		if len(edit) > 64 {
+			edit = edit[:64]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		p := randomProblem(rng, 14, 12, 3)
+		child := p
+		if len(edit) > 0 {
+			child = editWith(func(n int) int {
+				if len(edit) == 0 {
+					return 0
+				}
+				v := int(edit[0]) % n
+				edit = edit[1:]
+				return v
+			}, p)
+		}
+		opt := Options{Seed: seed, NumIter: 2, Workers: 1 + int(pick/3)%4}
+		var st *SolveState
+		switch pick % 3 {
+		case 0:
+			_, st = SolveKeep(p, opt)
+		case 1:
+			_, st = SolveKeep(randomProblem(rng, 14, 12, 3), opt)
+		}
+		want, _ := SolveKeep(child, opt)
+		got, _, info := ResolveState(child, st, opt)
+		if info.Fallback != (st == nil) {
+			t.Fatalf("fallback %v with parent %v", info.Fallback, st != nil)
+		}
+		sameSolve(t, "fuzz resolve", got, want)
+		unchanged := child.NCol == p.NCol && slices.Equal(child.Cost, p.Cost) &&
+			slices.EqualFunc(child.Rows, p.Rows, slices.Equal[[]int])
+		if pick%3 == 0 && unchanged && info.CompsSolved != 0 {
+			t.Fatalf("unchanged child re-solved %d of %d blocks", info.CompsSolved, info.CompsSolved+info.CompsReused)
+		}
+	})
 }

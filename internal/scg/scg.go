@@ -293,7 +293,7 @@ func SolvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 // a part the reductions finish emits its one cover.  kp (may be nil)
 // is the keep stage of an incremental solve: its reduction is traced,
 // or replayed from the parent's trace, and its portfolio carries
-// unchanged parent blocks over and captures multipliers.
+// unchanged parent blocks over.
 func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) *PartResult {
 	pr := &PartResult{}
 	t0 := time.Now()
@@ -320,15 +320,18 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 			workers = runtime.GOMAXPROCS(0)
 		}
 		// ----- reduction to the cyclic core: plain, or traced for a
-		// kept solve and replayed from the parent's trace for a resolve
-		// (a kept solve has one part, so part is kp.d.Child) -----
+		// kept solve and replayed from the parent's trace for a resolve.
+		// A kept solve has one uncompacted part, so the residual's rows
+		// are matched against the parent's whole problem, whose rows
+		// the trace names -----
 		switch {
 		case kp == nil:
 			red = matrix.ReduceBudgetWorkers(rest, tr, workers)
 		case kp.parent == nil:
 			red, trace = matrix.ReduceTrackedTrace(rest, tr, workers)
 		default:
-			red, trace = matrix.ReplayReduce(kp.residualDelta(rest, kept), kp.parent.trace, tr, workers)
+			d := matrix.DeltaBetween(kp.parent.problem, rest)
+			red, trace = matrix.ReplayReduce(d, kp.parent.trace, tr, workers)
 		}
 		liftRows(red, trace, kept)
 	}
@@ -389,10 +392,6 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 			continue
 		}
 		states[c] = &compState{core: comp.Problem, idx: c, part: partIdx}
-		if kp != nil {
-			states[c].capture = true
-			states[c].warm = kp.warmStart(comp, red)
-		}
 		pend = append(pend, c)
 	}
 	if kp != nil {
@@ -427,7 +426,7 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 }
 
 // liftRows maps a reduction of the residual back to the part's rows,
-// where the keep state's warm starts and the next replay read them:
+// where the next replay reads them:
 // residual row i is part row kept[i] (kept nil: they coincide).
 func liftRows(red *matrix.Reduction, trace *matrix.ReduceTrace, kept []int) {
 	if kept == nil {

@@ -12,11 +12,13 @@ import (
 //	c <cost_0> ... <cost_{cols-1}>     (optional; default 1)
 //	r <col> <col> ...                  (one line per row)
 //
-// Column ids are zero-based.  Unlike the in-memory ucp.ReadProblem,
-// the streaming reader requires the optional cost line to precede the
-// first row (costs must be known before rows can be dispatched); a
-// file with `c` after `r` lines is rejected with a line-numbered
-// error.
+// Column ids are zero-based, and a '#' after whitespace starts a
+// comment that runs to the end of its line.  The optional cost line
+// must precede the first row (costs must be known before rows can be
+// dispatched); a file with `c` after `r` lines, or with a second `p`
+// line, is rejected with a line-numbered error.  It is the only parser
+// of the format: ucp.ReadProblem collects the same stream into a
+// problem.
 type MatrixReader struct {
 	lx    *Lexer
 	nrows int
@@ -61,8 +63,10 @@ func NewMatrixReader(r io.Reader) (*MatrixReader, error) {
 			if nr < 0 || nc < 0 || nr > MaxDim || nc > MaxDim {
 				return nil, m.lx.Errf("bad problem size")
 			}
+			if _, done, err := m.lx.IntInLine(); err != nil || !done {
+				return nil, m.lx.Errf("malformed p line")
+			}
 			m.nrows, m.ncols = nr, nc
-			m.lx.skipRestOfLine()
 		case 'c':
 			if m.ncols < 0 {
 				return nil, m.lx.Errf("c line before p line")

@@ -186,9 +186,15 @@ func (lx *Lexer) Int() (int, error) {
 
 // IntInLine returns the next integer on the current line.  done=true
 // (with a consumed newline) means the line ended before another token;
-// the stream error, if any, surfaces on the *next* call.
+// a '#' where a token would start ends the line too, the rest of it
+// being a comment.  The stream error, if any, surfaces on the *next*
+// call.
 func (lx *Lexer) IntInLine() (v int, done bool, err error) {
 	c, ok := lx.skipSpaceInLine()
+	if ok && c == '#' {
+		lx.skipRestOfLine()
+		return 0, true, nil
+	}
 	if !ok {
 		if lx.pos < lx.end { // at a newline
 			lx.pos++
@@ -200,7 +206,6 @@ func (lx *Lexer) IntInLine() (v int, done bool, err error) {
 		}
 		return 0, true, lx.err
 	}
-	_ = c
 	v, err = lx.number()
 	return v, false, err
 }

@@ -11,17 +11,17 @@ import (
 
 // The keep/parent protocol: a request with `keep` retains the solve's
 // state server-side and answers with a `solve_id`; a follow-up request
-// naming that id as `parent` is solved incrementally — the server
-// reconstructs the edit between the two instances and replays the
-// retained reductions and portfolio blocks instead of starting over.
-// An expired or unknown id degrades to a from-scratch solve (counted
-// in /stats), never an error: the id is a performance hint, not state
-// the client may rely on.
+// naming that id as `parent` is solved incrementally — the solver
+// matches the new instance's rows to the retained one's and replays
+// the retained reductions and portfolio blocks instead of starting
+// over.  An expired or unknown id degrades to a from-scratch solve
+// (counted in /stats), never an error: the id is a performance hint,
+// not state the client may rely on.
 
-// maxKeptStates bounds the retained-state table.  Retained states hold
-// the parent's reduced core and per-block multiplier snapshots, so the
-// table is deliberately small — an LRU of the most recent chains, not
-// a durable store.
+// maxKeptStates bounds the retained-state table.  A retained state
+// holds the parent's instance, its reduced core and the portfolio
+// results of every core block, so the table is deliberately small —
+// an LRU of the most recent chains, not a durable store.
 const maxKeptStates = 64
 
 // keepStore is the id → retained-state LRU behind the keep/parent
@@ -83,13 +83,11 @@ func (k *keepStore) len() int {
 type ResolveStats struct {
 	Resolves    int64 `json:"resolves"`     // incremental solves attempted
 	ParentHits  int64 `json:"parent_hits"`  // served against a named parent id
-	ArenaHits   int64 `json:"arena_hits"`   // parent recovered from the ancestor arena
-	ArenaMisses int64 `json:"arena_misses"` // no usable ancestor found
-	Fallbacks   int64 `json:"fallbacks"`    // parent unusable (options/problem drift)
+	Fallbacks   int64 `json:"fallbacks"`    // parent unusable (interrupted, or other options)
 	CompsReused int64 `json:"comps_reused"` // portfolio blocks carried over verbatim
 	CompsSolved int64 `json:"comps_solved"` // portfolio blocks re-solved
 	// ReplayFraction is comps_reused / (comps_reused + comps_solved):
-	// the share of cyclic-core work the delta path avoided.
+	// the share of cyclic-core work the incremental path avoided.
 	ReplayFraction float64 `json:"replay_fraction"`
 	Kept           int     `json:"kept"`            // retained states resident
 	UnknownParents int64   `json:"unknown_parents"` // parent ids not found (expired or bogus)
@@ -100,8 +98,6 @@ func (s *Server) resolveStats() ResolveStats {
 	out := ResolveStats{
 		Resolves:       rs.Resolves,
 		ParentHits:     rs.ParentHits,
-		ArenaHits:      rs.ArenaHits,
-		ArenaMisses:    rs.ArenaMisses,
 		Fallbacks:      rs.Fallbacks,
 		CompsReused:    rs.CompsReused,
 		CompsSolved:    rs.CompsSolved,
@@ -116,10 +112,10 @@ func (s *Server) resolveStats() ResolveStats {
 
 // solveSCGKeep handles the keep/parent variants of an scg solve: the
 // state is retained and its id returned; with a parent named, the
-// solve replays that parent's state incrementally.  These solves pin
-// the explicit reduction pipeline and bypass the cross-solve cache
-// (the retained state, not the memoized result, is the product), and
-// they emit no streamed incumbents — the final record is unaffected.
+// solve replays that parent's state incrementally.  These solves
+// bypass the cross-solve cache (the retained state, not the memoized
+// result, is the product), and they emit no streamed incumbents — the
+// final record is unaffected.
 func (s *Server) solveSCGKeep(j *job, bud ucp.Budget) (Response, int) {
 	bud.IterCap = j.req.IterCap
 	opt := ucp.SCGOptions{
@@ -131,8 +127,7 @@ func (s *Server) solveSCGKeep(j *job, bud ucp.Budget) (Response, int) {
 	var keep *ucp.Resolvable
 	if j.req.Parent != "" {
 		if parent, ok := s.keeps.get(j.req.Parent); ok {
-			d := ucp.DeltaBetween(parent.Problem(), j.prob)
-			res, keep = s.solver.Resolve(d, parent, opt, ucp.ResolveOptions{})
+			res, keep = s.solver.Resolve(j.prob, parent, opt)
 		} else {
 			s.unknownParents.Add(1)
 		}

@@ -4,96 +4,43 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"ucp/internal/benchmarks"
+	"ucp/internal/scpio"
 )
 
 // The covering-matrix text format understood by ReadProblem and
-// emitted by WriteProblem:
+// SolveSCGMatrix and emitted by WriteProblem:
 //
 //	# comment
 //	p <rows> <cols>
 //	c <cost_0> <cost_1> ... <cost_{cols-1}>     (optional; default 1)
 //	r <col> <col> ...                           (one line per row)
 //
-// Column ids are zero-based.
+// Column ids are zero-based.  There is one p line, the c line comes
+// before the first r line, and a '#' after whitespace starts a comment
+// that runs to the end of its line.
 
 // ReadProblem parses a covering problem in the text format above.
 func ReadProblem(r io.Reader) (p *Problem, err error) {
 	defer malformed(&err)
 	defer guard(&err)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	mr, err := scpio.NewMatrixReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("ucp: %w", err)
+	}
 	var rows [][]int
-	var cost []int
-	nr, nc := -1, -1
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = strings.TrimSpace(text[:i])
+	for {
+		row, err := mr.Next(nil)
+		if err == io.EOF {
+			break
 		}
-		if text == "" {
-			continue
+		if err != nil {
+			return nil, fmt.Errorf("ucp: %w", err)
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "p":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("ucp: line %d: malformed p line", line)
-			}
-			var err1, err2 error
-			nr, err1 = strconv.Atoi(fields[1])
-			nc, err2 = strconv.Atoi(fields[2])
-			const maxDim = 1 << 24
-			if err1 != nil || err2 != nil || nr < 0 || nc < 0 || nr > maxDim || nc > maxDim {
-				return nil, fmt.Errorf("ucp: line %d: bad problem size", line)
-			}
-		case "c":
-			if nc < 0 {
-				return nil, fmt.Errorf("ucp: line %d: c line before p line", line)
-			}
-			if len(fields)-1 != nc {
-				return nil, fmt.Errorf("ucp: line %d: %d costs for %d columns", line, len(fields)-1, nc)
-			}
-			cost = make([]int, nc)
-			for j, f := range fields[1:] {
-				v, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, fmt.Errorf("ucp: line %d: bad cost %q", line, f)
-				}
-				cost[j] = v
-			}
-		case "r":
-			if nc < 0 {
-				return nil, fmt.Errorf("ucp: line %d: r line before p line", line)
-			}
-			row := make([]int, 0, len(fields)-1)
-			for _, f := range fields[1:] {
-				v, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, fmt.Errorf("ucp: line %d: bad column %q", line, f)
-				}
-				row = append(row, v)
-			}
-			rows = append(rows, row)
-		default:
-			return nil, fmt.Errorf("ucp: line %d: unknown directive %q", line, fields[0])
-		}
+		rows = append(rows, row)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if nc < 0 {
-		return nil, fmt.Errorf("ucp: missing p line")
-	}
-	if nr >= 0 && nr != len(rows) {
-		return nil, fmt.Errorf("ucp: p line declares %d rows, found %d", nr, len(rows))
-	}
-	return NewProblem(rows, nc, cost)
+	return NewProblem(rows, mr.NumCols(), mr.Cost())
 }
 
 // WriteProblem emits p in the text format understood by ReadProblem.

@@ -125,3 +125,55 @@ func TestReadORLibProblemErrorLines(t *testing.T) {
 		})
 	}
 }
+
+// TestMatrixTextReadersAgree: ReadProblem and SolveSCGMatrix, in
+// memory and under a byte budget, parse the covering-matrix format
+// with one parser, so every input is accepted by all three or rejected
+// by all three.
+func TestMatrixTextReadersAgree(t *testing.T) {
+	cases := []struct {
+		name, in string
+		ok       bool
+	}{
+		{"plain", "p 2 3\nr 0 1\nr 2\n", true},
+		{"costs and comments", "# head\np 2 3\n\nc 3 1 2\n# between\nr 0 1\nr 1 2\n", true},
+		{"trailing comment on a row", "p 3 4\nc 1 2 3 4\nr 0 1\nr 2 3   # note\nr 0 3\n", true},
+		{"trailing comments on p and c", "p 1 2 # size\nc 4 5\t# costs\nr 0 1\n", true},
+		{"unsorted duplicate ids", "p 1 3\nr 2 0 2\n", true},
+		{"no rows", "p 0 3\n", true},
+		{"empty row", "p 2 2\nr\nr 1\n", true},
+		{"empty input", "", false},
+		{"comment only", "# nothing\n", false},
+		{"row before p", "r 0 1\n", false},
+		{"malformed p", "p 1\nr 0\n", false},
+		{"p line with a third number", "p 1 2 3\nr 0\n", false},
+		{"duplicate p", "p 1 2\np 1 2\nr 0\n", false},
+		{"cost after rows", "p 2 2\nr 0\nc 1 1\nr 1\n", false},
+		{"short cost line", "p 1 3\nc 1 1\nr 0\n", false},
+		{"long cost line", "p 1 2\nc 1 1 1\nr 0\n", false},
+		{"negative cost", "p 1 2\nc 1 -1\nr 0\n", false},
+		{"bad column", "p 1 2\nr 0 x\n", false},
+		{"comment glued to a column", "p 1 2\nr 0 1#x\n", false},
+		{"column out of range", "p 1 2\nr 5\n", false},
+		{"negative column", "p 1 2\nr -1\n", false},
+		{"row count mismatch", "p 2 2\nr 0\n", false},
+		{"unknown directive", "p 1 2\nq 0\n", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadProblem(strings.NewReader(tc.in))
+			errs := map[string]error{"ReadProblem": err}
+			_, errs["SolveSCGMatrix"] = SolveSCGMatrix(strings.NewReader(tc.in), SCGOptions{Seed: 1, NumIter: 1})
+			_, errs["SolveSCGMatrix+MemBudget"] = SolveSCGMatrix(strings.NewReader(tc.in),
+				SCGOptions{Seed: 1, NumIter: 1, MemBudget: 1 << 16, SpillDir: t.TempDir()})
+			for path, err := range errs {
+				if (err == nil) != tc.ok {
+					t.Errorf("%s: error %v, want accepted=%v", path, err, tc.ok)
+				}
+				if err != nil && !errors.Is(err, ErrMalformedInput) {
+					t.Errorf("%s: error %v does not wrap ErrMalformedInput", path, err)
+				}
+			}
+		})
+	}
+}

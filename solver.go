@@ -1,22 +1,12 @@
 package ucp
 
-import "ucp/internal/solvecache"
-
 // SolverOptions configures a Solver session.
 type SolverOptions struct {
 	// Cache is the session's cross-solve memoization cache, threaded
 	// into every solve the Solver runs (unless the per-solve options
 	// already carry one).  Nil disables caching.
 	Cache *Cache
-	// ArenaSize bounds the ancestor arena — the LRU of retained solve
-	// states Resolve consults when no parent handle is passed.  0
-	// selects the default (64 entries); negative disables the arena.
-	ArenaSize int
 }
-
-// defaultArenaSize is the ancestor arena's capacity when
-// SolverOptions.ArenaSize is zero.
-const defaultArenaSize = 64
 
 // Solver is a session handle over the package's solvers: every entry
 // point run through one Solver shares one cross-solve Cache, so an
@@ -29,18 +19,13 @@ const defaultArenaSize = 64
 // are deduplicated behind a single computation.
 type Solver struct {
 	cache      *Cache
-	arena      *solvecache.Arena
 	resolveCtr resolveCounters
 }
 
 // NewSolver builds a session handle.  A zero SolverOptions gives an
-// uncached Solver with a default-sized ancestor arena.
+// uncached Solver.
 func NewSolver(opt SolverOptions) *Solver {
-	size := opt.ArenaSize
-	if size == 0 {
-		size = defaultArenaSize
-	}
-	return &Solver{cache: opt.Cache, arena: solvecache.NewArena(size)}
+	return &Solver{cache: opt.Cache}
 }
 
 // CacheStats snapshots the session cache's counters (zero without a

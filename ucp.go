@@ -185,8 +185,9 @@ type Bounds struct {
 	DualAscent       float64 // two-phase dual ascent
 	Lagrangian       float64 // subgradient-optimised lagrangian bound
 	LinearRelaxation float64 // exact LP bound (NaN when skipped)
-	// LPExact reports whether LinearRelaxation was computed; the dense
-	// simplex is only run when rows+columns ≤ LPLimit.
+	// LPExact reports whether LinearRelaxation was computed: the dense
+	// simplex is only run when rows+columns ≤ LPLimit, and returns no
+	// value when the LP has none (an uncoverable row).
 	LPExact bool
 }
 
@@ -209,17 +210,16 @@ func LowerBounds(p *Problem) Bounds {
 		b.LPExact = true
 		return b
 	}
+	b.LinearRelaxation = math.NaN()
 	if len(q.Rows)+q.NCol <= LPLimit {
-		b.LinearRelaxation = lpBound(q)
-		b.LPExact = true
-	} else {
-		b.LinearRelaxation = math.NaN()
+		b.LinearRelaxation, b.LPExact = lpBound(q)
 	}
 	return b
 }
 
-// lpBound solves min c'x, Ax ≥ 1, 0 ≤ x ≤ 1 exactly.
-func lpBound(p *Problem) float64 {
+// lpBound solves min c'x, Ax ≥ 1, 0 ≤ x ≤ 1 exactly; it reports false when
+// the simplex returns no value.
+func lpBound(p *Problem) (float64, bool) {
 	n := p.NCol
 	a := make([][]float64, 0, len(p.Rows)+n)
 	b := make([]float64, 0, len(p.Rows)+n)
@@ -243,7 +243,7 @@ func lpBound(p *Problem) float64 {
 	}
 	_, z, err := simplex.Solve(c, a, b)
 	if err != nil {
-		return math.NaN()
+		return math.NaN(), false
 	}
-	return z
+	return z, true
 }

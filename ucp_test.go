@@ -171,6 +171,19 @@ func TestFigure1Bounds(t *testing.T) {
 	}
 }
 
+// TestLowerBoundsInfeasible: an uncoverable row leaves the LP without
+// a value, so LPExact stays false and the LP bound NaN.
+func TestLowerBoundsInfeasible(t *testing.T) {
+	p, err := NewProblem([][]int{{0, 1}, {}, {2}}, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := LowerBounds(p)
+	if b.LPExact || !math.IsNaN(b.LinearRelaxation) {
+		t.Fatalf("LPExact=%v LinearRelaxation=%v, want false and NaN", b.LPExact, b.LinearRelaxation)
+	}
+}
+
 func TestLowerBoundsSkipsHugeLP(t *testing.T) {
 	p := benchmarks.CyclicCovering(7, 400, 300, 3)
 	b := LowerBounds(p)
