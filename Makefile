@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureSubset$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaReplay$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitEssentials$$' -fuzztime $(FUZZTIME) ./internal/matrix
+	$(GO) test -run '^$$' -fuzz '^FuzzReduceMatchesNaive$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedMatchesDirect$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonFingerprint$$' -fuzztime $(FUZZTIME) ./internal/canon
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve

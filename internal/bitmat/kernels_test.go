@@ -53,12 +53,12 @@ func TestGrowVec(t *testing.T) {
 	if &w[0] != &v[0] {
 		t.Fatal("GrowVec reallocated although capacity sufficed")
 	}
-	if w.First() != -1 {
+	if !isZero(w) {
 		t.Fatal("GrowVec returned a non-zero bitset")
 	}
 	// Growing past capacity allocates fresh zeros.
 	g := GrowVec(w, 1000)
-	if len(g) != Words(1000) || g.First() != -1 {
+	if len(g) != Words(1000) || !isZero(g) {
 		t.Fatal("GrowVec grow path wrong")
 	}
 }

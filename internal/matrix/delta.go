@@ -21,10 +21,10 @@ type Delta struct {
 }
 
 // rowContentHash folds a row's column ids into a 64-bit hash for
-// DeltaBetween's content matching: one multiply per id (FNV-1a over
-// whole ids), then a splitmix finaliser.  The matcher compares row
-// contents before it matches, so a collision can cost a match, never
-// make a wrong one.
+// matching rows by content, as DeltaBetween and the duplicate search
+// of row dominance do: one multiply per id (FNV-1a over whole ids),
+// then a splitmix finaliser.  Both compare row contents before they
+// match, so a collision never makes a wrong match.
 func rowContentHash(r []int) uint64 {
 	h := uint64(len(r))*0x9e3779b97f4a7c15 + 1
 	for _, j := range r {

@@ -12,7 +12,7 @@ import (
 // is the first step of: SplitEssentials followed by a reduction of the
 // residual must agree with reducing the whole problem on
 // infeasibility, the essentials, the core rows and, mapped through
-// kept, their origins.  Both reducer engines are forced in turn.
+// kept, their origins.
 func checkSplitEssentials(t *testing.T, label string, p *Problem) {
 	t.Helper()
 	ess, rest, kept, infeasible := p.SplitEssentials()
@@ -35,40 +35,32 @@ func checkSplitEssentials(t *testing.T, label string, p *Problem) {
 			}
 		}
 	}
-	for _, engine := range []string{"sparse", "dense"} {
-		restore := SetReduceEngine(engine)
-		want := ReduceBudgetWorkers(p, nil, 1)
-		var got *Reduction
-		if !infeasible {
-			got = ReduceBudgetWorkers(rest, nil, 1)
+	want := ReduceBudgetWorkers(p, nil, 1)
+	if infeasible != want.Infeasible {
+		t.Fatalf("%s: prepass infeasible %v, fixpoint %v", label, infeasible, want.Infeasible)
+	}
+	if infeasible {
+		return
+	}
+	got := ReduceBudgetWorkers(rest, nil, 1)
+	all := append(append([]int{}, ess...), got.Essential...)
+	sort.Ints(all)
+	if fmt.Sprint(all) != fmt.Sprint(want.Essential) {
+		t.Fatalf("%s: essentials %v (prepass %v), fixpoint %v", label, all, ess, want.Essential)
+	}
+	if len(got.Core.Rows) != len(want.Core.Rows) {
+		t.Fatalf("%s: %d core rows, fixpoint %d", label, len(got.Core.Rows), len(want.Core.Rows))
+	}
+	for i, r := range want.Core.Rows {
+		if !slices.Equal(got.Core.Rows[i], r) {
+			t.Fatalf("%s: core row %d = %v, fixpoint %v", label, i, got.Core.Rows[i], r)
 		}
-		restore()
-		tag := label + " " + engine
-		if infeasible != want.Infeasible {
-			t.Fatalf("%s: prepass infeasible %v, fixpoint %v", tag, infeasible, want.Infeasible)
+		o := got.RowOrigin[i]
+		if kept != nil {
+			o = kept[o]
 		}
-		if infeasible {
-			continue
-		}
-		all := append(append([]int{}, ess...), got.Essential...)
-		sort.Ints(all)
-		if fmt.Sprint(all) != fmt.Sprint(want.Essential) {
-			t.Fatalf("%s: essentials %v (prepass %v), fixpoint %v", tag, all, ess, want.Essential)
-		}
-		if len(got.Core.Rows) != len(want.Core.Rows) {
-			t.Fatalf("%s: %d core rows, fixpoint %d", tag, len(got.Core.Rows), len(want.Core.Rows))
-		}
-		for i, r := range want.Core.Rows {
-			if !slices.Equal(got.Core.Rows[i], r) {
-				t.Fatalf("%s: core row %d = %v, fixpoint %v", tag, i, got.Core.Rows[i], r)
-			}
-			o := got.RowOrigin[i]
-			if kept != nil {
-				o = kept[o]
-			}
-			if o != want.RowOrigin[i] {
-				t.Fatalf("%s: core row %d from input row %d, fixpoint %d", tag, i, o, want.RowOrigin[i])
-			}
+		if o != want.RowOrigin[i] {
+			t.Fatalf("%s: core row %d from input row %d, fixpoint %d", label, i, o, want.RowOrigin[i])
 		}
 	}
 }

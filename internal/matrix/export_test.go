@@ -1,23 +1,5 @@
 package matrix
 
-// SetReduceEngine forces a reduction engine in tests: "auto" (default
-// threshold-driven choice), "sparse", or "dense".  It returns a restore
-// function.
-func SetReduceEngine(mode string) func() {
-	old := reduceOverride
-	switch mode {
-	case "auto":
-		reduceOverride = 0
-	case "sparse":
-		reduceOverride = 1
-	case "dense":
-		reduceOverride = 2
-	default:
-		panic("unknown reduce engine " + mode)
-	}
-	return func() { reduceOverride = old }
-}
-
 // SetParMinShard lowers the per-worker shard floor so tests can force
 // genuinely concurrent dominance passes on small instances.  It
 // returns a restore function.

@@ -111,11 +111,17 @@ func MustNew(rows [][]int, ncol int, cost []int) *Problem {
 	return p
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy.  The copied rows share one backing array,
+// each a capped sub-slice of it, so the rows cost two allocations
+// whatever their count; an empty row stays nil.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{Rows: make([][]int, len(p.Rows)), NCol: p.NCol, Cost: append([]int(nil), p.Cost...)}
+	flat := make([]int, p.NNZ())
 	for i, r := range p.Rows {
-		q.Rows[i] = append([]int(nil), r...)
+		if len(r) > 0 {
+			q.Rows[i], flat = flat[:len(r):len(r)], flat[len(r):]
+			copy(q.Rows[i], r)
+		}
 	}
 	return q
 }
@@ -324,10 +330,11 @@ type ReduceTrace struct {
 }
 
 // ReduceTrackedTrace is ReduceBudgetWorkers plus a fact trace for
-// later incremental replay (see ReplayReduce).  Tracing pins the
-// reduction to the sparse engine — whose output is bit-identical to
-// the dense one by contract — and costs one extra O(rows+cols) scratch
-// pass per fixpoint round.
+// later incremental replay (see ReplayReduce): the same fixpoint, bit
+// for bit.  Tracing costs one extra O(rows+cols) scratch pass per
+// fixpoint round, and a duplicate row still scans the shorter rows,
+// because the trace records the first witness in (length, index)
+// order.
 func ReduceTrackedTrace(p *Problem, tr *budget.Tracker, workers int) (*Reduction, *ReduceTrace) {
 	trace := &ReduceTrace{}
 	return reduce(p, tr, workers, trace, nil), trace
@@ -336,7 +343,8 @@ func ReduceTrackedTrace(p *Problem, tr *budget.Tracker, workers int) (*Reduction
 // reduceScratch carries the fixpoint loop's reusable state: the packed
 // (length, index) candidate ordering — hoisted out of the passes and
 // re-sorted in place each pass instead of re-derived from scratch —
-// the kill marks, and the occupancy signatures.
+// the packed (content hash, position) keys and equal-row links of the
+// duplicate search, the kill marks, and the occupancy signatures.
 //
 // A signature is the 64-bit fold of a row's column ids (bit j mod 64)
 // or a column's row indices (bit i mod 64).  a ⊆ b implies
@@ -349,6 +357,8 @@ type reduceScratch struct {
 	workers int
 	keys    []int64
 	order   []int
+	hashes  []uint64
+	dup     []int32
 	keep    []bool
 	rowSig  []uint64
 	colSig  []uint64
@@ -397,15 +407,8 @@ func sigOf(ids []int) uint64 {
 // candidate kills (see reduceScratch.colHints).
 func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, colHints [][2]int32) *Reduction {
 	res := &Reduction{}
-	// The dense bit-matrix engine and this sparse loop implement the
-	// identical fixpoint (same orders, same tie-breaks); the choice is
-	// purely a data-layout decision.  Tracing needs the sparse loop's
-	// witness bookkeeping, so it pins the sparse engine.
-	if trace == nil && (reduceOverride == 2 || (reduceOverride == 0 && DenseEligible(p))) {
-		denseReduce(p, tr, res, workers)
-		sort.Ints(res.Essential)
-		return res
-	}
+	// Every pass rewrites rows in place, so the fixpoint runs on a copy
+	// and the input stays untouched.
 	cur := p.Clone()
 	origin := make([]int, len(cur.Rows))
 	for i := range origin {
@@ -467,8 +470,9 @@ func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, col
 				}
 			}
 			if w == 0 {
-				// Match the dense engine's decode: no surviving rows
-				// means nil slices, not empty ones.
+				// Drop the slices rather than truncate them: an
+				// emptied core, which a kept solve stores, then pins
+				// neither the copied rows nor the origin array.
 				cur.Rows, origin = nil, nil
 			} else {
 				cur.Rows = cur.Rows[:w]
@@ -513,23 +517,32 @@ func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, col
 // (a killer of the killer would be an even earlier subset of b) — and
 // it is independent of visit order, so the candidate positions shard
 // freely across workers and the marks merge by index.
+//
+// A row of b's own length contains b only if it equals b, so b scans
+// for a subset only among the strictly shorter rows, and failing that
+// dies when an equal row of smaller index exists (linkDuplicates finds
+// it before the scan, from the same pass-start state).  The kill set
+// and the first-in-order witness are those of a scan over every
+// earlier row: shorter rows come first in the order, equal rows after
+// them by index.
 func dropSupersetRows(p *Problem, origin []int, st *reduceScratch) ([]int, bool) {
 	n := len(p.Rows)
 	// Sort candidates by (length, index), packed into int64 keys so the
 	// sort runs without a comparator closure.  Subsets then always
 	// precede their supersets, and the index tie-break makes the
-	// survivor among duplicate rows canonical (smallest row index), so
-	// the sparse and dense reduction engines agree exactly.
+	// survivor among duplicate rows canonical (smallest row index).
 	st.keys = growI64(st.keys, n)
 	for i, r := range p.Rows {
 		st.keys[i] = int64(len(r))<<32 | int64(i)
 	}
 	slices.Sort(st.keys)
+	keys := st.keys
 	st.order = growInt(st.order, n)
 	order := st.order
-	for k, key := range st.keys {
+	for k, key := range keys {
 		order[k] = int(key & 0xffffffff)
 	}
+	dup := linkDuplicates(p, order, st)
 	st.keep = growBool(st.keep, n)
 	keep := st.keep
 	for i := range keep {
@@ -551,18 +564,24 @@ func dropSupersetRows(p *Problem, origin []int, st *reduceScratch) ([]int, bool)
 		for bi := lo; bi < hi; bi++ {
 			b := order[bi]
 			rb, sb := p.Rows[b], sig[b]
-			for _, a := range order[:bi] {
-				if sig[a]&^sb != 0 {
-					continue
-				}
-				if isSubsetSorted(p.Rows[a], rb) {
-					keep[b] = false
-					if killer != nil {
-						killer[b] = int32(a)
+			w := dup[b]
+			// An equal row alone decides the kill; only the trace needs
+			// to know whether a shorter subset comes first.
+			if w < 0 || killer != nil {
+				shorter, _ := slices.BinarySearch(keys, int64(len(rb))<<32)
+				for _, a := range order[:shorter] {
+					if sig[a]&^sb == 0 && isSubsetSorted(p.Rows[a], rb) {
+						w = int32(a)
+						break
 					}
-					kills++
-					break
 				}
+			}
+			if w >= 0 {
+				keep[b] = false
+				if killer != nil {
+					killer[b] = w
+				}
+				kills++
 			}
 		}
 		if kills > 0 {
@@ -596,6 +615,45 @@ func dropSupersetRows(p *Problem, origin []int, st *reduceScratch) ([]int, bool)
 	st.rowSig = sig[:w]
 	p.InvalidateCSC()
 	return origin, true
+}
+
+// linkDuplicates returns, for every row b, the smallest index of
+// another row equal to b when that index is below b's, else -1.  order
+// is the (length, index) candidate order.  Sorting packed (content
+// hash, position in order) keys groups equal rows into runs of one
+// hash, listed by position; equal rows share a length, so position
+// order is index order among them, and the first equal row a run
+// offers is the one of smallest index.  Contents are compared before a
+// link is made, so a hash collision costs a comparison, never a wrong
+// link.
+func linkDuplicates(p *Problem, order []int, st *reduceScratch) []int32 {
+	n := len(order)
+	st.dup = growI32(st.dup, n)
+	dup := st.dup
+	st.hashes = growU64(st.hashes, n)
+	hs := st.hashes
+	for k, b := range order {
+		dup[b] = -1
+		hs[k] = rowContentHash(p.Rows[b])&^0xffffffff | uint64(k)
+	}
+	slices.Sort(hs)
+	for s := 0; s < n; {
+		e := s + 1
+		for e < n && hs[e]>>32 == hs[s]>>32 {
+			e++
+		}
+		for t := s + 1; t < e; t++ {
+			b := order[hs[t]&0xffffffff]
+			for _, h := range hs[s:t] {
+				if a := order[h&0xffffffff]; slices.Equal(p.Rows[a], p.Rows[b]) {
+					dup[b] = int32(a)
+					break
+				}
+			}
+		}
+		s = e
+	}
+	return dup
 }
 
 func isSubsetSorted(a, b []int) bool { // a ⊆ b, both sorted

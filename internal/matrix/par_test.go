@@ -35,23 +35,35 @@ func sameTracked(t *testing.T, label string, got, want *Reduction) {
 }
 
 // TestReduceWorkersBitIdentical is the determinism contract of the
-// sharded dominance passes: for any worker count, both engines must
-// reproduce the sequential reduction exactly — same essentials, same
-// core, same provenance.  The shard floor is dropped to 1 so even the
-// small random instances genuinely fan out goroutines (the suite runs
-// under -race in `make check`).
+// sharded dominance passes: for any worker count the reduction must
+// reproduce the sequential one exactly — same essentials, same core,
+// same provenance — on sparse rows (density 1/3) and on their
+// complements (density 2/3, long rows in few length groups).  The
+// shard floor is dropped to 1 so even the small random instances
+// genuinely fan out goroutines (the suite runs under -race in
+// `make check`).
 func TestReduceWorkersBitIdentical(t *testing.T) {
 	defer SetParMinShard(1)()
-	for _, engine := range []string{"sparse", "dense"} {
-		t.Run(engine, func(t *testing.T) {
-			defer SetReduceEngine(engine)()
+	for _, density := range []string{"sparse", "dense"} {
+		t.Run(density, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(47))
 			for trial := 0; trial < 150; trial++ {
 				p := randReduceProblem(rng, 40, 40, 3, trial%7 == 0)
+				if density == "dense" {
+					for i, r := range p.Rows {
+						var c []int
+						for j := 0; j < p.NCol; j++ {
+							if !containsSorted(r, j) {
+								c = append(c, j)
+							}
+						}
+						p.Rows[i] = c
+					}
+				}
 				want := ReduceBudgetWorkers(p, nil, 1)
 				for _, workers := range []int{2, 4, 8} {
 					got := ReduceBudgetWorkers(p, nil, workers)
-					sameTracked(t, engine, got, want)
+					sameTracked(t, density, got, want)
 				}
 			}
 		})
@@ -80,7 +92,6 @@ func TestReduceWorkersBitIdenticalLarge(t *testing.T) {
 		cost[j] = 1 + rng.Intn(3)
 	}
 	p := MustNew(rows, 700, cost)
-	defer SetReduceEngine("sparse")()
 	want := ReduceBudgetWorkers(p, nil, 1)
 	for _, workers := range []int{2, 4, 8} {
 		sameTracked(t, "large", ReduceBudgetWorkers(p, nil, workers), want)

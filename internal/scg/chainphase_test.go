@@ -105,8 +105,7 @@ func TestChainRaisesImplicitCeiling(t *testing.T) {
 	if chain.Collections == 0 {
 		t.Fatal("cap never pressured the chain engine: tighten the test")
 	}
-	// Loose-cap reference (nodeCap = 0 would take the dense shortcut,
-	// which decodes its core in input order rather than ZDD order).
+	// Loose-cap reference: the same ZDD engine, far from its cap.
 	ref := ImplicitReduceBudgetWorkers(p, 1, 1, 500_000, nil, 1)
 	if !sameCore(chain, ref) {
 		t.Fatal("capped chain run reduced to a different core than the uncapped run")

@@ -1,14 +1,5 @@
 package scg
 
-// SetDenseImplicit flips the dense shortcut of the implicit phase for
-// a test and returns a restore func, so the ZDD engine can be
-// exercised on instances the shortcut would otherwise claim.
-func SetDenseImplicit(on bool) (restore func()) {
-	old := denseImplicit
-	denseImplicit = on
-	return func() { denseImplicit = old }
-}
-
 // SetZDDGC flips the implicit phase's mark-sweep collections for a
 // test and returns a restore func, so the capped-depth tests can
 // contrast the GC ladder against plain cap-and-abort.

@@ -63,9 +63,7 @@ func TestNodeCapGCReachesSmallerCore(t *testing.T) {
 	}
 
 	// Sanity: the GC'd core agrees with the uncapped ZDD fixpoint.
-	restoreDense := SetDenseImplicit(false)
 	full := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1)
-	restoreDense()
 	if full.Aborted || len(full.Core.Rows) != len(ir.Core.Rows) {
 		t.Fatalf("capped core has %d rows, uncapped fixpoint %d", len(ir.Core.Rows), len(full.Core.Rows))
 	}

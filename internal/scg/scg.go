@@ -8,8 +8,7 @@
 // coverings built from PLAs it settles most parts outright.  The rows
 // it leaves are reduced to their cyclic core by the explicit fixpoint
 // of internal/matrix (duplicate rows, row dominance, essential
-// columns, column dominance), which picks its dense bit-matrix or
-// sparse engine from the input.  The subgradient
+// columns, column dominance) on the sparse rows.  The subgradient
 // machinery of internal/lagrangian then rates the core's columns;
 // penalty tests fix columns in or out, "promising" columns are fixed
 // heuristically, and one best-rated column is always fixed to

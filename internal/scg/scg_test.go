@@ -171,28 +171,27 @@ func TestAblationsStillValid(t *testing.T) {
 }
 
 func TestImplicitReducePreservesOptimum(t *testing.T) {
-	// Both implicit engines must preserve the optimum: the dense
-	// shortcut (default on these small dense instances) and the ZDD.
-	for _, dense := range []bool{true, false} {
-		restore := SetDenseImplicit(dense)
+	// Both paths of the phase must preserve the optimum: thresholds of
+	// (1, 1) run the ZDD to its fixpoint, and (100, 100) let the
+	// explicit shortcut claim these small instances.
+	for _, limit := range []int{1, 100} {
 		rng := rand.New(rand.NewSource(86))
 		for trial := 0; trial < 150; trial++ {
 			p := randomProblem(rng, 9, 9, 3)
 			want := bnb.Solve(p, bnb.Options{}).Cost
-			ir := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1) // thresholds tiny: run to fixpoint
+			ir := ImplicitReduceBudgetWorkers(p, limit, limit, 0, nil, 1)
 			if ir.Infeasible {
-				t.Fatalf("dense=%v trial %d: feasible problem reported infeasible", dense, trial)
+				t.Fatalf("limit=%d trial %d: feasible problem reported infeasible", limit, trial)
 			}
 			got := p.CostOf(ir.Essential)
 			if len(ir.Core.Rows) > 0 {
 				got += bnb.Solve(ir.Core, bnb.Options{}).Cost
 			}
 			if got != want {
-				t.Fatalf("dense=%v trial %d: implicit reduction changed optimum: %d != %d\nrows=%v cost=%v ess=%v core=%v",
-					dense, trial, got, want, p.Rows, p.Cost, ir.Essential, ir.Core.Rows)
+				t.Fatalf("limit=%d trial %d: implicit reduction changed optimum: %d != %d\nrows=%v cost=%v ess=%v core=%v",
+					limit, trial, got, want, p.Rows, p.Cost, ir.Essential, ir.Core.Rows)
 			}
 		}
-		restore()
 	}
 }
 
@@ -201,8 +200,8 @@ func TestImplicitReducePreservesOptimum(t *testing.T) {
 // matrix.ReduceBudgetWorkers on its core must reach the explicit
 // fixpoint's feasibility verdict, sorted essential set and core row
 // multiset (the phase decodes its core in ZDD enumeration order).  It
-// returns "" on agreement.  The caller picks the engine with
-// SetDenseImplicit and SetZDDChain.
+// returns "" on agreement.  The caller picks the ZDD engine with
+// SetZDDChain.
 func implicitAgreement(p *matrix.Problem) string {
 	er := matrix.ReduceBudgetWorkers(p, nil, 1)
 	ir := ImplicitReduceBudgetWorkers(p, 1, 1, 0, nil, 1) // tiny thresholds: run to fixpoint
@@ -236,11 +235,10 @@ func sortedRows(rows [][]int) [][]int {
 }
 
 // TestImplicitReduceAgreesWithExplicit makes the ZDD phase the explicit
-// reductions' exact oracle, on both ZDD engines with the dense shortcut
-// off: random matrices, cyclic coverings and random coverings, with
-// unit costs and with costs 1–4.
+// reductions' exact oracle, on both ZDD engines: random matrices,
+// cyclic coverings and random coverings, with unit costs and with
+// costs 1–4.
 func TestImplicitReduceAgreesWithExplicit(t *testing.T) {
-	defer SetDenseImplicit(false)()
 	for _, chain := range []bool{true, false} {
 		restore := SetZDDChain(chain)
 		rng := rand.New(rand.NewSource(87))
@@ -267,10 +265,10 @@ func TestImplicitReduceAgreesWithExplicit(t *testing.T) {
 }
 
 // FuzzImplicitAgreesWithExplicit runs implicitAgreement on arbitrary
-// small matrices, on both ZDD engines with the dense shortcut off.  The
-// first byte picks the column count (1–12), the next ones the costs
-// (1–4), and the rest decodes to rows of 0–5 column ids; an empty row
-// exercises the infeasibility verdicts.
+// small matrices, on both ZDD engines.  The first byte picks the
+// column count (1–12), the next ones the costs (1–4), and the rest
+// decodes to rows of 0–5 column ids; an empty row exercises the
+// infeasibility verdicts.
 func FuzzImplicitAgreesWithExplicit(f *testing.F) {
 	f.Add([]byte{5, 1, 1, 1, 1, 1, 2, 0, 1, 2, 1, 2, 2, 0, 2})
 	f.Add([]byte{7, 3, 1, 4, 2, 2, 1, 3, 3, 0, 1, 2, 3, 3, 4, 5, 3, 5, 6, 0, 2, 2, 6, 1, 1})
@@ -305,7 +303,6 @@ func FuzzImplicitAgreesWithExplicit(f *testing.F) {
 			rows = append(rows, row)
 		}
 		p := matrix.MustNew(rows, ncol, cost)
-		defer SetDenseImplicit(false)()
 		for _, chain := range []bool{true, false} {
 			restore := SetZDDChain(chain)
 			msg := implicitAgreement(p)

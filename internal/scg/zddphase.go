@@ -28,17 +28,13 @@ type ImplicitResult struct {
 	// Collections counts the mark-sweep garbage collections the phase
 	// ran to stay under the node cap (see the GC ladder below).
 	Collections int
-	// Dense is set when the phase ran on the dense bit-matrix engine
-	// instead of the ZDD: the instance was small and dense enough that
-	// word-parallel explicit reductions beat ZDD operations outright.
-	// ZDDNodes and Passes are then zero.
+	// Dense is set when the input already met the MaxR × MaxC early
+	// exit, so the phase built no ZDD and the explicit fixpoint of
+	// matrix.ReduceBudgetWorkers reduced it instead.  ZDDNodes and
+	// Passes are then zero.  The field keeps its name because
+	// benchmark/child.go reads it.
 	Dense bool
 }
-
-// denseImplicit gates the dense shortcut of the implicit phase; the
-// tests flip it to exercise the ZDD engine on instances the shortcut
-// would otherwise claim.
-var denseImplicit = true
 
 // zddGC gates the mark-sweep collections of the implicit phase; the
 // tests flip it off to measure how deep a capped phase reaches without
@@ -60,9 +56,9 @@ const zddGCRetries = 8
 
 // validCols reports whether every entry indexes the cost vector.
 // matrix.New enforces this, but the implicit phase is also the place
-// where hand-built Problems get caught, so the dense shortcut (whose
-// kernels index unchecked) verifies before claiming the instance; the
-// ZDD path reports bad ids through m.Set.
+// where hand-built Problems get caught, so the explicit shortcut
+// (whose passes index unchecked) verifies before claiming the
+// instance; the ZDD load rejects a negative id itself.
 func validCols(p *matrix.Problem) bool {
 	for _, r := range p.Rows {
 		for _, j := range r {
@@ -108,23 +104,20 @@ func validCols(p *matrix.Problem) bool {
 // garbage, so a family that does not fit the cap aborts the phase at
 // the load, without a collection.
 //
-// workers shards the explicit dominance passes of the dense shortcut
-// (below) across up to that many goroutines; the ZDD engine itself is
-// sequential (the manager is single-threaded by design), so workers
-// only matters on instances the dense bit-matrix engine claims.
+// An input that already has at most maxR rows and maxC active columns
+// meets the early exit before the first sweep, so no ZDD is built:
+// matrix.ReduceBudgetWorkers reduces it, with its dominance passes
+// sharded across up to workers goroutines, and the result has Dense
+// set.  The ZDD engine itself is sequential (the manager is
+// single-threaded by design), so workers matters only to this
+// shortcut, and a node cap only to the ZDD.
 func ImplicitReduceBudgetWorkers(p *matrix.Problem, maxR, maxC, nodeCap int, tr *budget.Tracker, workers int) (res *ImplicitResult) {
 	res = &ImplicitResult{}
 
-	// Small dense instances skip the ZDD entirely: the dense bit-matrix
-	// engine reaches the same fixpoint (same reductions, same
-	// tie-breaks) in word-parallel passes with none of the ZDD-node
-	// overhead.  A node cap is an explicit request to budget the ZDD
-	// engine — the cap→GC→abort→explicit degradation ladder is part of
-	// the budget contract — so the shortcut only applies without one.
-	// If the deadline cuts the dense pass short the partially reduced
-	// core is still an equivalent problem, so it is returned rather
-	// than aborted.
-	if denseImplicit && nodeCap == 0 && validCols(p) && matrix.DenseEligible(p) {
+	// If the deadline cuts the explicit fixpoint short, its partially
+	// reduced core is still an equivalent problem, so it is returned
+	// rather than aborted.
+	if len(p.Rows) <= maxR && validCols(p) && len(p.ActiveCols()) <= maxC {
 		red := matrix.ReduceBudgetWorkers(p, tr, workers)
 		res.Dense = true
 		res.Infeasible = red.Infeasible

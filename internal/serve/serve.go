@@ -489,8 +489,11 @@ func (s *Server) worker() {
 
 // runJob executes one admitted job and publishes its result.
 func (s *Server) runJob(j *job) {
-	defer s.sched.release(j.bytes)
+	// Deferred calls run last-in first-out: the job's bytes are
+	// released before done wakes the waiting handler, as on the drain
+	// path, so a client holding its reply never sees them in flight.
 	defer close(j.done)
+	defer s.sched.release(j.bytes)
 
 	if j.ctx.Err() != nil {
 		// The client disconnected while the job sat in the queue:
