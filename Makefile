@@ -49,17 +49,19 @@ shard-smoke:
 	sh scripts/shard_smoke.sh
 
 # bench-diff reruns the substrate benches and fails on regression
-# against the committed baseline: >75% ns/op growth, >0.5% allocs/op
+# against the committed baseline in what is exact: >0.5% allocs/op
 # growth, or any work counter (cost/op, corerows/op, nodes/op, ... —
 # every metric but ns/op, B/op and allocs/op) that differs from the
-# baseline or between repetitions.  The timing allowance spans the
-# container's load windows, the alloc allowance absorbs the parallel
-# portfolio's scheduler-dependent pool jitter, and the counters are
-# exact because the solvers are bit-identical (see cmd/benchfmt).  The
-# runs pin -cpu 1, the setting the baseline was recorded at: benchmark
-# names carry the GOMAXPROCS suffix, so on a multi-core host an
-# unpinned run would read every bench as "not in baseline" and check
-# none of them.
+# baseline or between repetitions.  The alloc allowance absorbs the
+# parallel portfolio's scheduler-dependent pool jitter, and the
+# counters are exact because the solvers are bit-identical (see
+# cmd/benchfmt).  A >75% ns/op growth is printed as an advisory
+# verdict and does not fail: one repetition on a shared or slower host
+# cannot tell a slowdown from load, so timing claims go through paired
+# runs.  The runs pin -cpu 1, the setting the baseline was recorded
+# at: benchmark names carry the GOMAXPROCS suffix, so on a multi-core
+# host an unpinned run would read every bench as "not in baseline" and
+# check none of them.
 bench-diff:
 	{ $(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -benchtime 1x -count 5 -cpu 1 . ; \
 	  $(GO) test -run '^$$' -bench '$(FRONTEND_BENCH)' -benchtime 1x -count 3 -cpu 1 ./internal/primes ; } \
@@ -78,6 +80,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureSubset$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaReplay$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitEssentials$$' -fuzztime $(FUZZTIME) ./internal/matrix
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitParts$$' -fuzztime $(FUZZTIME) ./internal/matrix
+	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeSplitMatchesFull$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceMatchesNaive$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedMatchesDirect$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonFingerprint$$' -fuzztime $(FUZZTIME) ./internal/canon

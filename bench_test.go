@@ -443,9 +443,10 @@ func BenchmarkSCGPortfolio(b *testing.B) {
 // BenchmarkSolveWide measures scg.Solve on the covering of the largest
 // function of the benchmark's pla-wide pool, RandomPLA(15841, 20, 3,
 // 80, 0.3, 0): many parts, most of them settled by their singleton
-// essentials alone, so the time goes to matrix.Partition and the
-// essential prepass rather than the portfolio.  The covering is built
-// outside the timer; corerows/op and parts/op are exact work counters.
+// essentials alone, so the time goes to the one-pass split
+// (matrix.SplitParts) rather than the portfolio.  The covering is
+// built outside the timer; corerows/op and parts/op are exact work
+// counters.
 func BenchmarkSolveWide(b *testing.B) {
 	p, _, err := BuildCovering(benchmarks.RandomPLA(15841, 20, 3, 80, 0.3, 0), UnitCost)
 	if err != nil {

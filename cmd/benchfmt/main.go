@@ -7,12 +7,15 @@
 //	go test -run '^$' -bench . -benchtime 1x -count 5 . | benchfmt -o BENCH_pr5.json
 //
 // With -against it also diffs the run against a committed baseline and
-// exits non-zero on regression (`make bench-diff`): a timing or
+// exits non-zero on regression (`make bench-diff`) in what is exact: an
 // allocation growth past its tolerance, or any work counter (a metric
 // other than ns/op, B/op and allocs/op) that differs from the baseline
-// or between repetitions.  A baseline that is missing, unreadable,
-// malformed or empty is itself a failure — a CI gate must never pass
-// because its reference quietly vanished:
+// or between repetitions.  A timing growth past its tolerance is
+// printed as an advisory verdict and never fails the run: one
+// repetition on a shared host cannot tell a slowdown from load, so
+// timing claims go through paired runs instead.  A baseline that is
+// missing, unreadable, malformed or empty is itself a failure — a CI
+// gate must never pass because its reference quietly vanished:
 //
 //	go test -run '^$' -bench . -benchtime 1x -count 3 . | benchfmt -against BENCH_pr4.json
 package main
@@ -194,18 +197,17 @@ func loadBaseline(path string) (*Doc, error) {
 }
 
 // Regression thresholds for -against: timing may wobble by up to 75%
-// before failing the gate — the shared container drifts between load
-// windows whose minima differ by ~1.5× on millisecond-scale benches
-// (measured on the ZDD substrates), so any tighter bound flakes on
-// noise while a real slowdown worth acting on (2×+) still fails —
-// plus an absolute slack so sub-millisecond benchmarks, whose noise
-// floor (scheduler ticks, cold caches) is a large fraction of the
-// runtime, don't flake either.  The precise half of the gate is
-// allocations: counts are near-deterministic, but the parallel
-// portfolio's sync.Pool behaviour is scheduler-dependent, so its count
-// jitters by a few per-op in the hundreds of thousands between runs; a
-// 0.5% allowance absorbs that while a real leak (orders of magnitude
-// larger) still fails.  Every other metric is a work counter the
+// before the advisory verdict shows — the shared container drifts
+// between load windows whose minima differ by ~1.5× on
+// millisecond-scale benches (measured on the ZDD substrates), and
+// slower hosts read slower throughout — plus an absolute slack so
+// sub-millisecond benchmarks, whose noise floor (scheduler ticks, cold
+// caches) is a large fraction of the runtime, stay quiet.  The
+// blocking half of the gate starts with allocations: counts are
+// near-deterministic, but the parallel portfolio's sync.Pool behaviour
+// is scheduler-dependent, so its count jitters by a few per-op in the
+// hundreds of thousands between runs; a 0.5% allowance absorbs that
+// while a real leak (orders of magnitude larger) still fails.  Every other metric is a work counter the
 // benchmark reports (cost, core rows, nodes, ...); the solvers are
 // bit-identical by contract, so those are gated exactly.
 const (
@@ -218,7 +220,8 @@ const (
 // against a baseline and reports whether the gate passes.  Metrics are
 // compared on their minima (the least-noise repetition), and a work
 // counter must also read the same in every repetition; benchmarks or
-// metrics absent from the baseline are reported but never fail.
+// metrics absent from the baseline are reported but never fail, and
+// neither does the advisory timing verdict.
 func compare(w io.Writer, doc, base *Doc, name string) bool {
 	fmt.Fprintf(w, "\nvs %s:\n", name)
 	keys := make([]string, 0, len(doc.Summary))
@@ -244,7 +247,7 @@ func compare(w io.Writer, doc, base *Doc, name string) bool {
 				fmt.Fprintf(w, "  %-44s %12.4g %-11s (metric not in baseline)\n", key, s.Min, unit)
 				continue
 			}
-			verdict := ""
+			verdict, blocking := "", true
 			switch unit {
 			case "allocs/op":
 				if s.Min > bs.Min*(1+maxAllocsGrowth) {
@@ -252,7 +255,8 @@ func compare(w io.Writer, doc, base *Doc, name string) bool {
 				}
 			case "ns/op":
 				if bs.Min > 0 && s.Min > bs.Min*(1+maxNsGrowth)+minNsSlack {
-					verdict = fmt.Sprintf("REGRESSION (>%d%% slower)", int(maxNsGrowth*100))
+					verdict = fmt.Sprintf("advisory (>%d%% slower; time it in paired runs)", int(maxNsGrowth*100))
+					blocking = false
 				}
 			case "B/op": // tracks allocs/op, which is gated above
 			default:
@@ -262,7 +266,7 @@ func compare(w io.Writer, doc, base *Doc, name string) bool {
 					verdict = "REGRESSION (work counter differs)"
 				}
 			}
-			if verdict != "" {
+			if verdict != "" && blocking {
 				ok = false
 			}
 			delta := "n/a"

@@ -80,14 +80,46 @@ func TestAgainstUnusableBaseline(t *testing.T) {
 }
 
 func TestAgainstDetectsRegression(t *testing.T) {
-	// Baseline where BenchmarkFoo-8 was 2x faster than the stream.
-	base := writeFile(t, "base.json", `{"summary": {"BenchmarkFoo-8": {"ns/op": {"count": 1, "min": 400000, "mean": 400000, "max": 400000}}}}`)
+	// Baseline where BenchmarkFoo-8 allocated 10 times per op, not 12.
+	base := writeFile(t, "base.json", `{"summary": {"BenchmarkFoo-8": {"allocs/op": {"count": 1, "min": 10, "mean": 10, "max": 10}}}}`)
 	code, stdout, _ := runWith(t, benchStream, "-against", base)
 	if code == 0 {
 		t.Fatal("regression not detected")
 	}
-	if !strings.Contains(stdout, "REGRESSION") {
+	if !strings.Contains(stdout, "REGRESSION (allocation growth)") {
 		t.Errorf("output does not flag the regression:\n%s", stdout)
+	}
+}
+
+// A timing regression alone is advisory: it is printed, but the gate
+// passes, while an allocation or work-counter regression beside it
+// still fails the run.
+func TestAgainstTimingIsAdvisory(t *testing.T) {
+	// Baseline where BenchmarkFoo-8 was 2x faster than the stream.
+	slower := `"ns/op": {"count": 1, "min": 400000, "mean": 400000, "max": 400000}`
+	cases := []struct {
+		name, base string
+		pass       bool
+	}{
+		{"timing only", slower, true},
+		{"timing and allocs", slower + `, "allocs/op": {"count": 1, "min": 10, "mean": 10, "max": 10}`, false},
+		{"timing and counter", slower + `, "cost/op": {"count": 1, "min": 46, "mean": 46, "max": 46}`, false},
+	}
+	stream := strings.ReplaceAll(benchStream, "allocs/op", "allocs/op	      47 cost/op")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := writeFile(t, "base.json", `{"summary": {"BenchmarkFoo-8": {`+tc.base+`}}}`)
+			code, stdout, _ := runWith(t, stream, "-against", base)
+			if (code == 0) != tc.pass {
+				t.Fatalf("exit %d, want pass=%v:\n%s", code, tc.pass, stdout)
+			}
+			if !strings.Contains(stdout, "advisory (>75% slower") {
+				t.Errorf("output does not print the timing verdict:\n%s", stdout)
+			}
+			if tc.pass != strings.Contains(stdout, "no regressions") {
+				t.Errorf("pass line does not match the exit code:\n%s", stdout)
+			}
+		})
 	}
 }
 

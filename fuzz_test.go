@@ -2,8 +2,16 @@ package ucp
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"ucp/internal/benchmarks"
+	"ucp/internal/cube"
+	"ucp/internal/matrix"
+	"ucp/internal/primes"
+	"ucp/internal/scg"
 )
 
 // The fuzz targets double as robustness tests: under plain `go test`
@@ -152,6 +160,87 @@ func FuzzMinimizeParsedPLA(f *testing.F) {
 		esp := MinimizeEspresso(pla, EspressoNormal, Budget{})
 		if !Equivalent(pla, esp.Cover) {
 			t.Fatal("espresso cover does not implement the parsed function")
+		}
+	})
+}
+
+// partitionedSolve is scg.Solve spelled out as Partition followed by
+// the per-part pipeline on every whole part (each runs its own
+// essential prepass), merged in part order: the pipeline the one-pass
+// split replaced, kept here as the split routes' oracle.
+func partitionedSolve(p *matrix.Problem, opt scg.Options) *scg.Result {
+	parts := []matrix.Component{{Problem: p}}
+	if c := matrix.Partition(p); c != nil && !opt.DisablePartition {
+		parts = c
+	}
+	tr := opt.Budget.Tracker()
+	var prs []*scg.PartResult
+	for k, c := range parts {
+		pr := scg.SolvePart(c.Problem, k, len(parts), opt, tr)
+		prs = append(prs, pr)
+		if pr.Solution == nil {
+			break
+		}
+	}
+	return scg.MergeParts(prs)
+}
+
+// splitLine renders everything the bit-identity contract covers.
+func splitLine(r *SCGResult) string {
+	s := r.Stats
+	return fmt.Sprintf("sol=%v cost=%d lb=%#016x opt=%t core=%dx%d fix=%d runs=%d iters=%d",
+		r.Solution, r.Cost, math.Float64bits(r.LB), r.ProvedOptimal,
+		s.CoreRows, s.CoreCols, s.FixSteps, s.Runs, s.SubgradIters)
+}
+
+// FuzzMinimizeSplitMatchesFull holds the split route to the whole
+// covering on random PLAs (up to 10 inputs, 1-3 outputs, up to 4
+// don't-care cubes, .type fd or fr, whose drawn don't-care cubes then
+// serve as the OFF-set).  The PLA split must equal the one-pass split
+// of the whole covering, and scg.SolveSplit on it, scg.Solve on the
+// whole covering and partitionedSolve must agree bit for bit for any
+// NumIter, Seed, Workers and DisablePartition, as must MinimizeSCG's
+// cover and bound.
+func FuzzMinimizeSplitMatchesFull(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(1), uint8(8), uint8(1), false, uint8(0), uint8(0), false)
+	f.Add(int64(7), uint8(9), uint8(2), uint8(11), uint8(3), false, uint8(2), uint8(3), false)
+	f.Add(int64(3), uint8(5), uint8(2), uint8(6), uint8(2), true, uint8(1), uint8(1), false)
+	f.Add(int64(12), uint8(8), uint8(2), uint8(9), uint8(0), false, uint8(2), uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, nIn, nOut, nCubes, nDC uint8, fr bool, numIter, workers uint8, noPartition bool) {
+		p := benchmarks.RandomPLA(seed, 1+int(nIn)%10, 1+int(nOut)%3, 1+int(nCubes)%12, 0.4, int(nDC)%5)
+		if fr {
+			p.R, p.D, p.Type = p.D, cube.NewCover(p.Space), "fr"
+		}
+		d := p.DontCares()
+		prs, _ := primes.GenerateAutoBudget(p.F, d, nil)
+		full, _, err := primes.BuildCovering(p.F, d, prs, primes.UnitCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, err := primes.BuildSplit(p.F, d, prs, primes.UnitCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := fmt.Sprintf("%+v", *split), fmt.Sprintf("%+v", *full.SplitParts()); g != w {
+			t.Fatalf("PLA split\n%s\nwhole covering's\n%s", g, w)
+		}
+		opt := SCGOptions{NumIter: 1 + int(numIter)%3, Seed: seed, Workers: 1 + int(workers)%4, DisablePartition: noPartition}
+		want := splitLine(partitionedSolve(full, opt))
+		ref := scg.Solve(full, opt)
+		for route, res := range map[string]*SCGResult{"split": scg.SolveSplit(split, opt), "whole": ref} {
+			if got := splitLine(res); got != want {
+				t.Fatalf("%s route:\n got %s\nwant %s", route, got, want)
+			}
+		}
+		tl, err := MinimizeSCG(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(tl.Cover.Cubes, tl.Products, math.Float64bits(tl.LB), tl.ProvedOptimal, tl.CoreRows, tl.CoreCols, tl.Rows)
+		exp := fmt.Sprint(primes.CoverFromColumns(prs, ref.Solution).Cubes, ref.Cost, math.Float64bits(ref.LB), ref.ProvedOptimal,
+			ref.Stats.CoreRows, ref.Stats.CoreCols, len(full.Rows))
+		if got != exp {
+			t.Fatalf("MinimizeSCG %s, whole covering %s", got, exp)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package ucp
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -173,5 +174,64 @@ func TestPinnedOutputs(t *testing.T) {
 			got, keep = s.Resolve(cur, keep, opt)
 			check(fmt.Sprintf("resolve step %d", k+1), fmt.Sprintf("resolve%d", k+1), got)
 		}
+	}
+}
+
+// plaPinLine renders what a TwoLevelResult carries: the cover (as an
+// FNV-64a digest of its cubes, in order), the product count, the LB
+// bits, the optimality claim, the core size, and the covering's rows
+// and primes.
+func plaPinLine(r *TwoLevelResult) string {
+	h := fnv.New64a()
+	for _, c := range r.Cover.Cubes {
+		h.Write([]byte(r.Cover.S.String(c) + "\n"))
+	}
+	return fmt.Sprintf("cover=%016x products=%d lb=%#016x opt=%t core=%dx%d rows=%d primes=%d",
+		h.Sum64(), r.Products, math.Float64bits(r.LB), r.ProvedOptimal, r.CoreRows, r.CoreCols, r.Rows, r.Primes)
+}
+
+// TestPinnedPLAOutputs pins MinimizeSCG on three PLAs: the largest
+// function of the benchmark's pla-wide pool (57 372 rows, 19 parts),
+// a wide one with a don't-care cube, and an easy cyclic function whose
+// core runs the portfolio.  The lines were recorded before the direct
+// route stopped writing the rows essential primes cover, and every
+// route must still print them: the direct route at Workers 1 and 4,
+// and the cached and sharded routes, which build the whole covering.
+func TestPinnedPLAOutputs(t *testing.T) {
+	pins := []struct {
+		name string
+		f    *PLA
+		want string
+	}{
+		{"wide", benchmarks.RandomPLA(15841, 20, 3, 80, 0.3, 0),
+			"cover=36fe2270d248ba07 products=80 lb=0x4054000000000000 opt=true core=0x0 rows=57372 primes=196"},
+		{"wide-dc", benchmarks.RandomPLA(7, 20, 3, 80, 0.3, 1),
+			"cover=2493b1c84bf281e2 products=80 lb=0x4054000000000000 opt=true core=0x0 rows=24810 primes=158"},
+		{"easyA5", benchmarks.EasyCyclic()[5].PLA(),
+			"cover=181c36206a2e2c14 products=27 lb=0x403b000000000000 opt=true core=50x68 rows=97 primes=83"},
+	}
+	for _, pin := range pins {
+		check := func(route string, opt SCGOptions) {
+			t.Helper()
+			res, err := MinimizeSCG(pin.f, opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", pin.name, route, err)
+			}
+			if got := plaPinLine(res); got != pin.want {
+				t.Errorf("%s %s:\n got %q\nwant %q", pin.name, route, got, pin.want)
+			}
+		}
+		opt := SCGOptions{Seed: 11, NumIter: 3}
+		for _, w := range []int{1, 4} {
+			opt.Workers = w
+			check(fmt.Sprintf("workers=%d", w), opt)
+		}
+		cached := opt
+		cached.Cache = NewCache(64, 0)
+		check("cache miss", cached)
+		check("cache hit", cached)
+		spill := opt
+		spill.Workers, spill.MemBudget = 2, 64
+		check("spill", spill)
 	}
 }

@@ -265,9 +265,10 @@ func ReduceBudgetWorkers(p *Problem, tr *budget.Tracker, workers int) *Reduction
 // SplitEssentials is the reduction fixpoint's first step on its own:
 // an empty row makes p infeasible, the column of every singleton row
 // is essential, and every row an essential covers leaves.  ess is
-// ascending; rest holds the remaining rows, aliasing p's, and kept
-// lists their indices in p.  Without a singleton row it returns p
-// itself and a nil kept, allocating nothing.
+// ascending; rest holds the remaining rows, empty ones included,
+// aliasing p's, and kept lists their indices in p.  Without a
+// singleton row it returns p itself and a nil kept, allocating
+// nothing.
 //
 // rest has no singleton row, so reducing it repeats none of this step
 // and ReduceBudgetWorkers(rest) ends where ReduceBudgetWorkers(p)
@@ -278,7 +279,7 @@ func (p *Problem) SplitEssentials() (ess []int, rest *Problem, kept []int, infea
 	for _, r := range p.Rows {
 		switch len(r) {
 		case 0:
-			return nil, nil, nil, true
+			infeasible = true
 		case 1:
 			if isEss == nil {
 				isEss = make([]bool, p.NCol)
@@ -290,7 +291,7 @@ func (p *Problem) SplitEssentials() (ess []int, rest *Problem, kept []int, infea
 		}
 	}
 	if ess == nil {
-		return nil, p, nil, false
+		return nil, p, nil, infeasible
 	}
 	sort.Ints(ess)
 	rest = &Problem{NCol: p.NCol, Cost: p.Cost}
@@ -304,7 +305,7 @@ rows:
 		rest.Rows = append(rest.Rows, r)
 		kept = append(kept, i)
 	}
-	return ess, rest, kept, false
+	return ess, rest, kept, infeasible
 }
 
 // ReduceTrace records the dominance facts a reduction applied, as
@@ -903,17 +904,24 @@ func (s *ColumnSets) AddRow(cols []int) {
 	}
 	a := s.Find(cols[0])
 	for _, c := range cols[1:] {
-		b := s.Find(c)
-		if a == b {
-			continue
-		}
-		// Smaller root wins: keeps Find deterministic and cheap without
-		// a rank array.
-		if b < a {
-			a, b = b, a
-		}
-		s.parent[b] = int32(a)
+		a = s.link(a, s.Find(c))
 	}
+}
+
+// Union merges the sets of columns a and b.
+func (s *ColumnSets) Union(a, b int) {
+	s.link(s.Find(a), s.Find(b))
+}
+
+// link joins two roots under the smaller one, which it returns:
+// letting the smaller root win keeps Find deterministic and cheap
+// without a rank array.
+func (s *ColumnSets) link(a, b int) int {
+	if b < a {
+		a, b = b, a
+	}
+	s.parent[b] = int32(a)
+	return a
 }
 
 // Components splits the problem into its connected components: rows
@@ -936,38 +944,23 @@ func Components(p *Problem) []Component {
 	return components(p, false)
 }
 
-// Partition is Components for callers on the partition-first solve
-// path: it returns nil when the problem has at most one connected
-// component (including the empty problem).  Either way it costs one
-// union-find over the columns and one counting pass over the rows,
-// and its components alias p's rows like Components'.
+// Partition is Components returning nil when the problem has at most
+// one connected component (including the empty problem).  Either way
+// it costs one union-find over the columns and one counting pass over
+// the rows, and its components alias p's rows like Components'.  The
+// solve itself splits through Problem.SplitParts.
 func Partition(p *Problem) []Component {
 	return components(p, true)
 }
 
 func components(p *Problem, nilIfConnected bool) []Component {
-	sets := NewColumnSets(p.NCol)
-	for _, r := range p.Rows {
-		sets.AddRow(r)
-	}
-	// Number the components in order of first appearance, so component
-	// k's smallest row index grows with k.  compAt[root] is 1 + the
-	// component of a column set's root (0: not seen yet).
-	compAt := make([]int32, p.NCol)
-	compOf := make([]int32, len(p.Rows))
-	ncomp := 0
-	for i, r := range p.Rows {
-		if len(r) == 0 {
-			ncomp++
-			compOf[i] = int32(ncomp - 1)
-			continue
-		}
-		root := sets.Find(r[0])
-		if compAt[root] == 0 {
-			ncomp++
-			compAt[root] = int32(ncomp)
-		}
-		compOf[i] = compAt[root] - 1
+	// Number the components in order of first appearance (a split with
+	// no essentials keeps every row), so component k's first row grows.
+	sets, first := rowSets(p)
+	s := NewSplit(sets, first, nil, p.Rows, p.Cost)
+	compOf, ncomp := s.RestPart, s.NParts
+	if len(p.Rows) == 0 {
+		ncomp = 0 // a Split counts a rowless problem as one part
 	}
 	if nilIfConnected && ncomp <= 1 {
 		return nil

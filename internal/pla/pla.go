@@ -31,7 +31,9 @@ type File struct {
 // Espresso does.  The default .type is "fd".
 func Parse(r io.Reader) (*File, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Start from the scanner's own small buffer, which grows only for
+	// long lines, up to a 16 MiB line.
+	sc.Buffer(nil, 1<<24)
 	f := &File{Type: "fd"}
 	var ni, no = -1, -1
 	lineNo := 0

@@ -178,3 +178,20 @@ func TestIgnoredDirectives(t *testing.T) {
 		t.Fatal("cube after ignored directives lost")
 	}
 }
+
+// TestLongLines: the scanner starts small and grows on demand, so a
+// line past 1 MiB still parses, while one past the 16 MiB cap fails.
+func TestLongLines(t *testing.T) {
+	long := "# " + strings.Repeat("x", 3<<19) + "\n" // 1.5 MiB comment
+	f, err := Parse(strings.NewReader(".i 2\n.o 1\n" + long + "11 1\n"))
+	if err != nil {
+		t.Fatalf("1.5 MiB line: %v", err)
+	}
+	if f.F.Len() != 1 {
+		t.Fatalf("%d cubes after the long line, want 1", f.F.Len())
+	}
+	huge := "# " + strings.Repeat("x", 1<<24) + "\n"
+	if _, err := Parse(strings.NewReader(".i 2\n.o 1\n" + huge + "11 1\n")); err == nil {
+		t.Fatal("a line over 16 MiB parsed")
+	}
+}

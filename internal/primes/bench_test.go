@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ucp/internal/benchmarks"
+	"ucp/internal/matrix"
 	"ucp/internal/pla"
 )
 
@@ -53,7 +54,10 @@ func BenchmarkPrimeGen(b *testing.B) {
 
 // BenchmarkBuildCovering compares the per-prime covering scatter
 // against the map-based reference oracle on a 20-input 3-output
-// instance (158 primes, ~25k covering rows).
+// instance (158 primes, ~25k covering rows).  The split sub-bench
+// builds the same covering as a split, writing only the rows its
+// essential primes leave: rows/op counts every ON-minterm row and
+// written/op the rows written, both exact.
 func BenchmarkBuildCovering(b *testing.B) {
 	f := benchmarks.RandomPLA(7, 20, 3, 80, 0.3, 1)
 	prs, ok := GenerateDenseBudget(f.F, f.D, nil)
@@ -66,6 +70,17 @@ func BenchmarkBuildCovering(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("split", func(b *testing.B) {
+		var s *matrix.Split
+		for i := 0; i < b.N; i++ {
+			var err error
+			if s, err = BuildSplit(f.F, f.D, prs, UnitCost); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(s.NRows), "rows/op")
+		b.ReportMetric(float64(len(s.Rest)), "written/op")
 	})
 	b.Run("reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package primes
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"ucp/internal/benchmarks"
 	"ucp/internal/budget"
 	"ucp/internal/cube"
+	"ucp/internal/matrix"
 	"ucp/internal/pla"
 )
 
@@ -64,6 +66,34 @@ func requireSameCovering(t *testing.T, f, d, prs *cube.Cover, label string) {
 			if gotP.Cost[j] != wantP.Cost[j] {
 				t.Fatalf("%s: cost[%d] = %d, reference %d", label, j, gotP.Cost[j], wantP.Cost[j])
 			}
+		}
+		split, err := BuildSplit(f, d, prs, cm)
+		if err != nil {
+			t.Fatalf("%s: BuildSplit: %v", label, err)
+		}
+		requireSameSplit(t, split, gotP.SplitParts(), label)
+	}
+}
+
+// requireSameSplit fails unless the PLA split equals the one-pass split
+// of the whole covering: parts, essentials, residual rows and costs.
+func requireSameSplit(t *testing.T, got, want *matrix.Split, label string) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"ncol", got.NCol, want.NCol},
+		{"cost", got.Cost, want.Cost},
+		{"rows", got.NRows, want.NRows},
+		{"parts", got.NParts, want.NParts},
+		{"essentials", got.Ess, want.Ess},
+		{"essential parts", got.EssPart, want.EssPart},
+		{"residual", got.Rest, want.Rest},
+		{"residual parts", got.RestPart, want.RestPart},
+	} {
+		if g, w := fmt.Sprint(f.got), fmt.Sprint(f.want); g != w {
+			t.Fatalf("%s: split %s %s, whole covering's %s", label, f.name, g, w)
 		}
 	}
 }

@@ -4,25 +4,28 @@
 //
 // Each connected part of the covering matrix first takes the column of
 // every singleton row and drops the rows those essentials cover: the
-// fixpoint's first step, run before anything copies a row, because on
-// coverings built from PLAs it settles most parts outright.  The rows
-// it leaves are reduced to their cyclic core by the explicit fixpoint
-// of internal/matrix (duplicate rows, row dominance, essential
-// columns, column dominance) on the sparse rows.  The subgradient
-// machinery of internal/lagrangian then rates the core's columns;
-// penalty tests fix columns in or out, "promising" columns are fixed
-// heuristically, and one best-rated column is always fixed to
-// guarantee progress.  The process repeats until the matrix empties,
-// then the solution is made irredundant.  NumIter outer runs restart
-// from the saved cyclic core, choosing among the BestCol top-rated
-// columns at random.
+// fixpoint's first step, taken for all parts in the one pass that
+// finds them (matrix.Split), because on coverings built from PLAs it
+// settles most parts outright.  SolveSplit takes that split straight
+// from the PLA front end, which never writes the rows the essential
+// primes cover.  The rows the essentials leave are reduced to their
+// cyclic core by the explicit fixpoint of internal/matrix (duplicate
+// rows, row dominance, essential columns, column dominance) on the
+// sparse rows.  The subgradient machinery of internal/lagrangian then
+// rates the core's columns; penalty tests fix columns in or out,
+// "promising" columns are fixed heuristically, and one best-rated
+// column is always fixed to guarantee progress.  The process repeats
+// until the matrix empties, then the solution is made irredundant.
+// NumIter outer runs restart from the saved cyclic core, choosing
+// among the BestCol top-rated columns at random.
 //
 // The paper runs those reductions inside a ZDD before it decodes the
-// core.  That pays only when the matrix is never built explicitly, and
-// here the covering front end materialises every row, so the solve
-// does not run a ZDD phase.  ImplicitReduceBudgetWorkers keeps the
-// paper's ZDD phase as a reference engine: the differential tests and
-// the implicit-vs-explicit ablation call it.
+// core.  That pays only when the matrix is never enumerated
+// explicitly, and here the covering front end visits every row's
+// minterm, so the solve does not run a ZDD phase.
+// ImplicitReduceBudgetWorkers keeps the paper's ZDD phase as a
+// reference engine: the differential tests and the implicit-vs-explicit
+// ablation call it.
 package scg
 
 import (
@@ -201,24 +204,43 @@ func Solve(p *matrix.Problem, opt Options) *Result {
 	return solve(p, opt, nil)
 }
 
+// SolveSplit runs ZDD_SCG on the problem a split describes, without
+// the rows its essentials cover.  It is Solve without the Cache: the
+// part loop is solve's, so the result is bit-identical to Solve on the
+// whole problem.  Options.Cache and Options.MemBudget are ignored.
+func SolveSplit(s *matrix.Split, opt Options) *Result {
+	opt.fill()
+	return solveSplit(s, opt, time.Now())
+}
+
 // solve is the uncached solver core; opt is already filled.
 //
-// The input first splits into its connected parts (rows share no
-// column across parts), and each part runs the per-part pipeline,
-// solvePart, independently; MergeParts folds the per-part results in
-// canonical part order.  A connected input is one part, as is every
-// input under DisablePartition or a keep stage (kp non-nil, see
-// SolveKeep).  The sharded driver (internal/shard) runs the same
-// pipeline through SolvePart under its own scheduler, so a sharded
-// solve is bit-identical to this one by construction.
+// The input splits into its connected parts (rows share no column
+// across parts), each holding its singleton essentials and the rows
+// they leave, in one pass (matrix.SplitParts); solveSplit runs the
+// per-part pipeline on every part.  A kept solve (kp non-nil, see
+// SolveKeep) is one part.  The sharded driver (internal/shard) runs
+// the same pipeline through SolvePart under its own scheduler, so a
+// sharded solve is bit-identical to this one by construction.
 func solve(p *matrix.Problem, opt Options, kp *keep) *Result {
 	t0 := time.Now()
+	if kp == nil {
+		return solveSplit(p.SplitParts(), opt, t0)
+	}
 	tr := opt.Budget.Tracker()
-	parts := []matrix.Component{{Problem: p}}
-	if kp == nil && !opt.DisablePartition {
-		if split := matrix.Partition(p); split != nil {
-			parts = split
-		}
+	ess, rest, kept, infeasible := p.SplitEssentials()
+	return finish(MergeParts([]*PartResult{solveResidual(ess, rest, kept, infeasible, 0, 1, opt, tr, nil, kp)}), tr, t0)
+}
+
+// solveSplit runs the per-part pipeline on every part of s and
+// MergeParts folds the results in canonical part order, stopping at
+// the first uncoverable part.  Under DisablePartition the whole split
+// is one part.
+func solveSplit(s *matrix.Split, opt Options, t0 time.Time) *Result {
+	tr := opt.Budget.Tracker()
+	ess, parts := [][]int{s.Ess}, []matrix.Problem{{Rows: s.Rest, NCol: s.NCol, Cost: s.Cost}}
+	if !opt.DisablePartition && s.NParts > 1 {
+		ess, parts = s.Bucket()
 	}
 
 	// Parts solve sequentially; the portfolio inside each part still
@@ -231,18 +253,25 @@ func solve(p *matrix.Problem, opt Options, kp *keep) *Result {
 		outer = newAnytime(nil, 0, len(parts), opt.OnImprove)
 	}
 	prs := make([]*PartResult, 0, len(parts))
-	for k, part := range parts {
+	for k := range parts {
 		emit := opt.OnImprove
 		if outer != nil {
 			emit = outer.slot(k)
 		}
-		pr := solvePart(part.Problem, k, len(parts), opt, tr, emit, kp)
+		// An empty row is residual, so it makes its part infeasible.
+		infeasible := slices.ContainsFunc(parts[k].Rows, func(r []int) bool { return len(r) == 0 })
+		pr := solveResidual(ess[k], &parts[k], nil, infeasible, k, len(parts), opt, tr, emit, nil)
 		prs = append(prs, pr)
 		if pr.Solution == nil {
 			break // an uncoverable part: the whole problem is infeasible
 		}
 	}
-	res := MergeParts(prs)
+	return finish(MergeParts(prs), tr, t0)
+}
+
+// finish stamps a merged result with the budget's verdict and the
+// solve's wall time.
+func finish(res *Result, tr *budget.Tracker, t0 time.Time) *Result {
 	if r := tr.Reason(); r != budget.None {
 		res.Interrupted = true
 		res.StopReason = r
@@ -281,29 +310,27 @@ type PartResult struct {
 // and Options.OnImprove are ignored at part level.
 func SolvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker) *PartResult {
 	opt.fill()
-	return solvePart(part, partIdx, nparts, opt, tr, nil, nil)
+	ess, rest, kept, infeasible := part.SplitEssentials()
+	return solveResidual(ess, rest, kept, infeasible, partIdx, nparts, opt, tr, nil, nil)
 }
 
-// solvePart is the per-part pipeline (Figure 2 of the paper): the
-// essential prepass, column compaction of the residual when the input
-// has several parts, reduction of the residual to the cyclic core,
-// block portfolio over the core, irredundant cleanup of the residual's
-// cover.  emit (may be nil) receives the part's improving incumbents;
-// a part the reductions finish emits its one cover.  kp (may be nil)
-// is the keep stage of an incremental solve: its reduction is traced,
-// or replayed from the parent's trace, and its portfolio carries
-// unchanged parent blocks over.
-func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) *PartResult {
+// solveResidual is the per-part pipeline (Figure 2 of the paper) after
+// the essential prepass, whose output ess, rest, kept and infeasible
+// are SplitEssentials': column compaction of the residual when the
+// input has several parts, reduction of the residual to the cyclic
+// core, block portfolio over the core, irredundant cleanup of the
+// residual's cover.  emit (may be nil) receives the part's improving
+// incumbents; a part the reductions finish emits its one cover.  kp
+// (may be nil) is the keep stage of an incremental solve: its
+// reduction is traced, or replayed from the parent's trace, and its
+// portfolio carries unchanged parent blocks over.
+func solveResidual(ess []int, rest *matrix.Problem, kept []int, infeasible bool, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) *PartResult {
 	pr := &PartResult{}
 	t0 := time.Now()
-
-	// ----- essential prepass: the reduction fixpoint's first step,
-	// run before anything copies a row.  Every later stage sees only
-	// the residual, the rows the singleton essentials leave -----
-	ess, rest, kept, infeasible := part.SplitEssentials()
 	red := &matrix.Reduction{Core: rest, Infeasible: infeasible}
 	var ids []int
 	var trace *matrix.ReduceTrace
+	input := rest // the residual in input column ids, before compaction
 	if !infeasible && len(rest.Rows) > 0 {
 		if nparts > 1 {
 			// Solve against the residual's own active columns; toInput
@@ -353,7 +380,7 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 		sort.Ints(out)
 		return out
 	}
-	essCost := part.CostOf(ess) + rest.CostOf(red.Essential)
+	essCost := input.CostOf(ess) + rest.CostOf(red.Essential)
 	if len(core.Rows) == 0 {
 		// The reductions solved the part outright; essentials form a
 		// minimum cover of it, and with no portfolio to run it is the
@@ -418,7 +445,7 @@ func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budge
 	// singleton row, so it is never removed, and it keeps every row
 	// outside the residual covered, so no such row holds a column in.
 	pr.Solution = toInput(rest.Irredundant(best))
-	pr.Cost = part.CostOf(pr.Solution)
+	pr.Cost = input.CostOf(pr.Solution)
 	pr.LB = lbSum
 	pr.CeilLB = ceilSum
 	return pr

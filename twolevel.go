@@ -11,6 +11,7 @@ import (
 	"ucp/internal/espresso"
 	"ucp/internal/pla"
 	"ucp/internal/primes"
+	"ucp/internal/scg"
 )
 
 // PLA is a parsed Berkeley-format PLA: the ON-set F, don't-care set D
@@ -123,15 +124,33 @@ func buildCovering(f *PLA, cm CostModel, tr *budget.Tracker) (*Problem, *Cover, 
 // prime generation, Quine–McCluskey covering formulation, reduction to
 // the cyclic core, and the ZDD_SCG lagrangian heuristic.
 // The budget in opt spans the whole pipeline.
+//
+// Without opt.Cache and opt.MemBudget, scg.SolveSplit solves the split
+// covering of primes.BuildSplit, which never writes the rows essential
+// primes cover.  The cache fingerprints, and the sharded driver
+// streams, the whole problem, so with either set every row is built
+// for SolveSCG.  Both routes return the same result bit for bit.
 func MinimizeSCG(f *PLA, opt SCGOptions) (out *TwoLevelResult, err error) {
 	defer guard(&err)
 	t0 := time.Now()
 	tr := opt.Budget.Tracker()
-	prob, prs, complete, err := buildCovering(f, UnitCost, tr)
-	if err != nil {
-		return nil, err
+	d := f.DontCares()
+	prs, complete := primes.GenerateAutoBudget(f.F, d, tr)
+	var res *SCGResult
+	var rows int
+	if opt.Cache == nil && opt.MemBudget <= 0 {
+		split, err := primes.BuildSplit(f.F, d, prs, UnitCost)
+		if err != nil {
+			return nil, err
+		}
+		res, rows = scg.SolveSplit(split, opt), split.NRows
+	} else {
+		prob, _, err := primes.BuildCovering(f.F, d, prs, UnitCost)
+		if err != nil {
+			return nil, err
+		}
+		res, rows = SolveSCG(prob, opt), len(prob.Rows)
 	}
-	res := SolveSCG(prob, opt)
 	if res.Solution == nil {
 		return nil, fmt.Errorf("ucp: covering problem unexpectedly infeasible")
 	}
@@ -143,7 +162,7 @@ func MinimizeSCG(f *PLA, opt SCGOptions) (out *TwoLevelResult, err error) {
 		LB:              res.LB,
 		ProvedOptimal:   res.ProvedOptimal,
 		Primes:          prs.Len(),
-		Rows:            len(prob.Rows),
+		Rows:            rows,
 		CoreRows:        res.Stats.CoreRows,
 		CoreCols:        res.Stats.CoreCols,
 		CyclicCoreTime:  res.Stats.CyclicCoreTime,
