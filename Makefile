@@ -29,7 +29,7 @@ test:
 check:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -race -run 'TestReduceWorkers|TestParShard|TestReplayReduceMatchesCold' ./internal/matrix
+	$(GO) test -race -run 'TestReduceWorkers|TestParShard' ./internal/matrix
 	$(GO) test -race -run 'TestResolveMatchesCold' ./internal/scg
 	$(GO) test -race ./...
 	$(MAKE) serve-smoke
@@ -78,7 +78,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveParsedProblem$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeParsedPLA$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureSubset$$' -fuzztime $(FUZZTIME) ./internal/matrix
-	$(GO) test -run '^$$' -fuzz '^FuzzDeltaReplay$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitEssentials$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitParts$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeSplitMatchesFull$$' -fuzztime $(FUZZTIME) .

@@ -195,19 +195,6 @@ func BenchmarkAblationSolverWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationImplicit compares the ZDD implicit phase plus the
-// explicit fixpoint against the explicit fixpoint alone, on the same
-// coverings.
-func BenchmarkAblationImplicit(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, r := range harness.AblationImplicit() {
-			b.ReportMetric(r.Time.Seconds(), r.Label+"-sec/op")
-			b.ReportMetric(float64(r.CoreRows), r.Label+"-corerows/op")
-		}
-	}
-}
-
 // ----- micro-benchmarks of the substrates -----
 
 // BenchmarkZDDReductions measures the implicit phase on a 300x120
@@ -476,7 +463,8 @@ func BenchmarkSolveWide(b *testing.B) {
 // BenchmarkSolveCached measures the cross-solve cache against repeated
 // resubmission of the same covering problem: the uncached sub-bench
 // pays the full ZDD_SCG solve every iteration, the cached one pays it
-// once and then only the canonical fingerprint per hit.  The ns/op
+// once and then only the label fingerprint and the cover check per
+// hit.  The ns/op
 // ratio between the two is the memoization speedup (the acceptance bar
 // is ≥5×).
 func BenchmarkSolveCached(b *testing.B) {
@@ -549,11 +537,11 @@ func deltaBatch5(p *matrix.Problem) *matrix.Problem {
 // a from-scratch kept solve of the same edited instance: cold is the
 // baseline SolveSCGKeep of the single-row child, row1/col1/batch5pct
 // are Solver.Resolve of the edited child with the parent state in
-// hand, row matching included.  The acceptance bar is row1 ≤ 25% of
-// cold ns/op (target ~10%); results are bit-identical to cold by the
-// replay contract, checked every iteration.  Instances: a scpd1-shaped random covering (400×4000,
-// 5% density, the OR-Library hard-set shape) and the max1024 covering
-// from the paper's difficult cyclic set.
+// hand.  The acceptance bar is row1 ≤ 25% of cold ns/op (target
+// ~10%); results are bit-identical to cold, checked every iteration.
+// Instances: a scpd1-shaped random covering (400×4000, 5% density, the
+// OR-Library hard-set shape) and the max1024 covering from the paper's
+// difficult cyclic set.
 func BenchmarkDeltaResolve(b *testing.B) {
 	var max1024 benchmarks.Instance
 	for _, in := range benchmarks.DifficultCyclic() {

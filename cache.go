@@ -7,11 +7,14 @@ import (
 )
 
 // Cache is a cross-solve memoization cache shared by the solvers: a
-// power-of-two-sharded LRU keyed by 128-bit canonical problem
-// fingerprints (row/column permutations of the same instance share an
-// entry), with singleflight deduplication of concurrent identical
-// solves and cost-aware admission — only solves that took at least the
-// work threshold enter, so trivial results never evict expensive ones.
+// power-of-two-sharded LRU keyed by a 128-bit fingerprint of the
+// problem as given (its rows in order, its costs and column count), so
+// only a verbatim resubmission hits — a row or column permutation is
+// another input to the solvers, which are not label-invariant, and is
+// solved afresh.  Concurrent identical solves are deduplicated behind
+// one computation, and admission is cost-aware — only solves that took
+// at least the work threshold enter, so trivial results never evict
+// expensive ones.
 // Interrupted (budget-cut) solves are never cached, and solutions
 // cross the cache boundary as defensive copies.
 //
@@ -30,9 +33,8 @@ const (
 	// DefaultCacheSize is the entry capacity behind -cache.
 	DefaultCacheSize = 4096
 	// DefaultCacheMinWork is the admission threshold: a solve cheaper
-	// than this is recomputed faster than it is worth caching (the
-	// canonical fingerprint alone costs a fraction of it), so it never
-	// displaces an expensive entry.
+	// than this is not worth an entry, so it never displaces an
+	// expensive one.
 	DefaultCacheMinWork = 200 * time.Microsecond
 )
 

@@ -12,7 +12,7 @@ import (
 
 // permuteCovering relabels the columns of p by colPerm (old id → new
 // id) and shuffles its rows: an isomorphic instance under different
-// labels, for exercising the cache's canonical keying.
+// labels, which the cache must treat as a different problem.
 func permuteCovering(t *testing.T, p *Problem, colPerm []int, rng *rand.Rand) *Problem {
 	t.Helper()
 	rows := make([][]int, len(p.Rows))
@@ -98,10 +98,39 @@ func equalSCG(a, b *SCGResult) bool {
 	return true
 }
 
+// TestCachePermutedSCG: a row and column permutation of a cached
+// problem is a different input to the solver, which is not
+// label-invariant, so it must miss and return exactly what an uncached
+// solve of the permuted input returns (Solution, Cost, LB, Stats).
+// The instances are the solve service's miss shape.
+func TestCachePermutedSCG(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	opt := SCGOptions{Seed: 1, NumIter: 2}
+	cached := opt
+	cached.Cache = NewCache(256, 0) // admit everything
+	for i := 0; i < 12; i++ {
+		p := benchmarks.CyclicCovering(1_000_000+int64(i), 90, 60, 4)
+		SolveSCG(p, cached)
+		for k := 0; k < 3; k++ {
+			q := permuteCovering(t, p, rng.Perm(p.NCol), rng)
+			got := SolveSCG(q, cached)
+			if got.Stats.CacheHits != 0 || got.Stats.CacheMisses != 1 {
+				t.Fatalf("instance %d perm %d: hits=%d misses=%d, want a miss",
+					i, k, got.Stats.CacheHits, got.Stats.CacheMisses)
+			}
+			g, want := scgComparable(got), scgComparable(SolveSCG(q, opt))
+			if !equalSCG(&g, &want) {
+				t.Fatalf("instance %d perm %d: cached result differs from uncached:\n got %+v\nwant %+v",
+					i, k, g, want)
+			}
+		}
+	}
+}
+
 // TestCacheDifferentialExact does the same for the exact solver, and
 // additionally checks that a column-permuted, row-shuffled relabeling
-// of a cached instance is served a translated solution that covers the
-// permuted matrix at the same (optimal) cost.
+// of a cached instance misses and gets what an uncached solve of it
+// gets.
 func TestCacheDifferentialExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
 	for trial := 0; trial < 12; trial++ {
@@ -127,19 +156,17 @@ func TestCacheDifferentialExact(t *testing.T) {
 			t.Fatalf("trial %d: miss solution differs from uncached", trial)
 		}
 
-		// An isomorphic relabeling probes the same canonical key; the
-		// served solution must be translated into the new labels.
+		// A relabeling is another problem: it misses, and its result
+		// is the uncached solve's.
 		q := permuteCovering(t, p, rng.Perm(p.NCol), rng)
 		pr := SolveExact(q, ExactOptions{Cache: cache})
-		if pr.Solution == nil {
-			t.Fatalf("trial %d: permuted solve found no cover", trial)
+		want := SolveExact(q, ExactOptions{})
+		if pr.CacheHit {
+			t.Fatalf("trial %d: the permuted instance hit the cache", trial)
 		}
-		if !q.IsCover(pr.Solution) {
-			t.Fatalf("trial %d: permuted-instance result is not a cover of the permuted matrix: %v",
-				trial, pr.Solution)
-		}
-		if pr.Cost != ref.Cost {
-			t.Fatalf("trial %d: permuted optimum %d != original optimum %d", trial, pr.Cost, ref.Cost)
+		if pr.Cost != want.Cost || pr.Optimal != want.Optimal || pr.LB != want.LB || !equalInts(pr.Solution, want.Solution) {
+			t.Fatalf("trial %d: permuted result %v (cost %d) differs from uncached %v (cost %d)",
+				trial, pr.Solution, pr.Cost, want.Solution, want.Cost)
 		}
 	}
 }

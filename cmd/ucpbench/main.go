@@ -100,10 +100,6 @@ func main() {
 			fmt.Fprintln(w, "== Ablations (DESIGN.md section 5) ==")
 			harness.WriteAblation(w, "alpha sweep (sigma = ctilde - alpha*mu)", harness.AblationAlpha())
 			harness.WriteAblation(w, "penalty / promising fixing", harness.AblationPenalties())
-			fmt.Fprintln(w, "implicit (ZDD) vs explicit reductions:")
-			for _, r := range harness.AblationImplicit() {
-				fmt.Fprintf(w, "  %-20s corerows=%d t=%.3fs\n", r.Label, r.CoreRows, r.Time.Seconds())
-			}
 			harness.WriteAblation(w, "multiplier warm start across fixing phases", harness.AblationSolverWarmStart())
 			harness.WriteAblation(w, "stochastic restarts", harness.AblationRestarts())
 			fmt.Fprintln(w, "greedy rating functions (standalone, true costs):")

@@ -10,11 +10,10 @@
 //	ucpsolve -matrix f.ucp -delta g.ucp   # solve f, then re-solve g incrementally
 //
 // With -delta the second instance is re-solved against the first
-// solve's retained state (scg only): its rows are matched to the
-// first instance's by content, the recorded reductions are
-// re-verified and replayed, and untouched portfolio blocks are reused
-// — the result is bit-identical to solving the second instance from
-// scratch.
+// solve's retained state (scg only): it is reduced to its cyclic core
+// as a cold solve would be, and every core block the first solve
+// already solved is reused — the result is bit-identical to solving
+// the second instance from scratch.
 //
 // The default solver is scg (the paper's ZDD_SCG heuristic).  With
 // -timeout the solve stops at the deadline and prints the best cover

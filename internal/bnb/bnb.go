@@ -47,11 +47,12 @@ type Options struct {
 	// cover stands in so the result is still feasible.
 	Budget budget.Budget
 	// Cache, when non-nil, memoizes whole exact solves across calls,
-	// keyed by the problem's canonical fingerprint folded with the
-	// result-relevant options (InitialUB and the Disable knobs; node
-	// caps only matter when they fire, and interrupted solves are not
-	// cached).  Solution comes back as a defensive copy; CacheHit on
-	// the result marks a served lookup.
+	// keyed by the problem's label fingerprint (rows in order, costs,
+	// column count) folded with the result-relevant options (InitialUB
+	// and the Disable knobs; node caps only matter when they fire, and
+	// interrupted solves are not cached), so only a verbatim
+	// resubmission hits.  Solution comes back as a defensive copy;
+	// CacheHit on the result marks a served lookup.
 	Cache *solvecache.Cache
 }
 
@@ -100,11 +101,11 @@ func Solve(p *matrix.Problem, opt Options) *Result {
 // solveCached serves one exact solve through the cross-solve cache
 // with singleflight deduplication; only completed (non-interrupted)
 // solves are shared or admitted, and solutions cross the cache
-// boundary as defensive copies.  The key is the canonical (label-
-// invariant) fingerprint, so solutions are stored in canonical column
-// indices and translated into each prober's labels on a hit, verified
-// against the prober's matrix; a verification failure (a fingerprint
-// collision, p < 2⁻¹²⁸) falls back to solving.
+// boundary as defensive copies.  The key is the problem's label
+// fingerprint, so only a verbatim resubmission hits, and it is served
+// the stored solution as it is, verified against the prober's matrix;
+// a verification failure (a fingerprint collision, p < 2⁻¹²⁸) falls
+// back to solving.
 func solveCached(p *matrix.Problem, opt Options) *Result {
 	b2u := func(b bool) uint64 {
 		if b {
@@ -115,8 +116,7 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 	d := canon.DigestWords(0x424e_4231, // "BNB1"
 		uint64(opt.InitialUB), b2u(opt.DisableLimitBound),
 		b2u(opt.DisablePartition), b2u(opt.DisableTT))
-	cn := canon.Canonicalize(p)
-	fp := cn.FP.Derive(d)
+	fp := canon.LabelFingerprint(p).Derive(d)
 	key := solvecache.Key{Hi: fp.Hi, Lo: fp.Lo}
 	// Waiter cancellation: a dead caller context stops the wait on the
 	// leader and unwinds under its own budget (see solvecache.DoChan).
@@ -128,23 +128,15 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 	v, _ := opt.Cache.DoChan(key, cancel, func() (any, time.Duration, bool) {
 		t0 := time.Now()
 		mine = solve(p, opt)
-		cp := copyResult(mine)
-		canSol, ok := cn.EncodeCols(cp.Solution, p.NCol)
-		cp.Solution = canSol
-		return cp, time.Since(t0), ok && !mine.Interrupted
+		return copyResult(mine), time.Since(t0), !mine.Interrupted
 	})
 	if mine != nil {
 		return mine
 	}
 	res := copyResult(v.(*Result))
-	sol, ok := cn.DecodeCols(res.Solution)
-	if ok && sol != nil {
-		ok = p.IsCover(sol) && p.CostOf(sol) == res.Cost
-	}
-	if !ok {
+	if res.Solution != nil && !(p.IsCover(res.Solution) && p.CostOf(res.Solution) == res.Cost) {
 		return solve(p, opt)
 	}
-	res.Solution = sol
 	res.CacheHit = true
 	return res
 }

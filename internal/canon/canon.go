@@ -1,16 +1,21 @@
-// Package canon computes canonical forms and 128-bit fingerprints of
-// covering problems, so that solves of the same instance — including
-// row/column permutations of it — can share one cache entry.
+// Package canon computes 128-bit fingerprints of covering problems.
 //
-// Two levels are provided:
+// Three levels are provided:
+//
+//   - LabelFingerprint hashes a problem exactly as given: its column
+//     count, every cost, and every row in order.  It is the solve
+//     caches' key.  The solvers are not label-invariant, so only a
+//     verbatim resubmission may be served a stored result; a row or
+//     column permutation of a cached problem must miss.
 //
 //   - Canonicalize builds a full canonical form: a relabelling of the
 //     active columns (and an implied sorting of the rows) such that
 //     permuted copies of the same instance map to the identical
 //     serialized form, byte for byte.  The fingerprint is a 128-bit
 //     hash of that serialization, and the column permutation is
-//     returned so cached solutions (stored in canonical label space)
-//     can be translated into any requesting instance's own ids.
+//     returned so facts stored in canonical label space can be
+//     translated into any requesting instance's own ids.  The
+//     branch-and-bound transposition table keys label-free facts on it.
 //
 //   - SubFingerprint is a cheap O(nnz) structural hash in the
 //     instance's own label space, commutative over rows, for the
@@ -26,9 +31,8 @@
 // search is capped; an aborted search still yields a deterministic
 // form for the given instance, but Exact is cleared and permuted
 // copies are then no longer guaranteed to fingerprint identically
-// (they can only miss the cache, never corrupt it: equality of the
-// serialized forms — what the fingerprint hashes — implies the
-// instances really are permutations of each other).
+// (equality of the serialized forms — what the fingerprint hashes —
+// still implies the instances really are permutations of each other).
 package canon
 
 import (
@@ -81,51 +85,9 @@ type Canonical struct {
 // instances, whatever the fingerprints say.
 func (c *Canonical) Serial() []uint64 { return c.serial }
 
-// EncodeCols rewrites a solution from the problem's column labels into
-// canonical column indices, the label-free form a cross-solve cache
-// must store: the cache key is label-invariant, so any isomorphic
-// relabeling of the instance probes the same entry and must be able to
-// decode the solution through its own Canonical.  ok is false when a
-// column has no canonical index (inactive — impossible for a cover's
-// columns, but a caller seeing false must skip caching rather than
-// store a lie).  A nil solution encodes to nil.
-func (c *Canonical) EncodeCols(sol []int, ncol int) ([]int, bool) {
-	if sol == nil {
-		return nil, true
-	}
-	inv := c.InverseCol(ncol)
-	out := make([]int, len(sol))
-	for i, j := range sol {
-		if j < 0 || j >= ncol || inv[j] < 0 {
-			return nil, false
-		}
-		out[i] = int(inv[j])
-	}
-	return out, true
-}
-
-// DecodeCols rewrites a canonical-index solution (stored by EncodeCols
-// under an isomorphic labeling) into this instance's column labels.
-// ok is false when an index is out of range, which is only possible
-// under a 128-bit fingerprint collision between structurally different
-// problems; callers treat that as a cache miss.
-func (c *Canonical) DecodeCols(sol []int) ([]int, bool) {
-	if sol == nil {
-		return nil, true
-	}
-	out := make([]int, len(sol))
-	for i, k := range sol {
-		if k < 0 || k >= len(c.ColPerm) {
-			return nil, false
-		}
-		out[i] = c.ColPerm[k]
-	}
-	return out, true
-}
-
 // InverseCol builds the original-id → canonical-index map (−1 for
 // columns outside ColPerm), for translating solutions into canonical
-// label space before caching.
+// label space.
 func (c *Canonical) InverseCol(ncol int) []int32 {
 	inv := make([]int32, ncol)
 	for j := range inv {
@@ -169,16 +131,53 @@ func DigestWords(salt uint64, words ...uint64) uint64 {
 	return mix64(h + uint64(len(words))*mulC)
 }
 
+// hasher folds a word stream into a 128-bit fingerprint, one word at
+// a time, so a caller can hash a structure without serializing it.
+type hasher struct{ h1, h2, n uint64 }
+
+func newHasher() hasher {
+	return hasher{h1: 0x243f6a8885a308d3, h2: 0x13198a2e03707344}
+}
+
+func (h *hasher) word(w uint64) {
+	h.h1 = mix64(h.h1 ^ w*mulA)
+	h.h2 = mix64(h.h2 + w*mulB)
+	h.n++
+}
+
+func (h *hasher) sum() Fingerprint {
+	return Fingerprint{Hi: mix64(h.h1 ^ h.n), Lo: mix64(h.h2 + h.n*mulC)}
+}
+
 // hash128 folds a word stream into a 128-bit fingerprint.
 func hash128(words []uint64) Fingerprint {
-	h1, h2 := uint64(0x243f6a8885a308d3), uint64(0x13198a2e03707344)
+	h := newHasher()
 	for _, w := range words {
-		h1 = mix64(h1 ^ w*mulA)
-		h2 = mix64(h2 + w*mulB)
+		h.word(w)
 	}
-	h1 = mix64(h1 ^ uint64(len(words)))
-	h2 = mix64(h2 + uint64(len(words))*mulC)
-	return Fingerprint{Hi: h1, Lo: h2}
+	return h.sum()
+}
+
+// LabelFingerprint hashes p as given, in O(nnz + NCol) and without
+// allocating: NCol, the costs with their count, then every row in
+// order as its length followed by its column ids.  Equal problems —
+// the same rows in the same order over the same costs — share it; any
+// relabelling or reordering of rows or columns changes it (barring a
+// 128-bit collision).
+func LabelFingerprint(p *matrix.Problem) Fingerprint {
+	h := newHasher()
+	h.word(uint64(p.NCol))
+	h.word(uint64(len(p.Cost)))
+	for _, c := range p.Cost {
+		h.word(uint64(c))
+	}
+	for _, r := range p.Rows {
+		h.word(uint64(len(r)))
+		for _, j := range r {
+			h.word(uint64(j))
+		}
+	}
+	return h.sum()
 }
 
 // canonState carries one canonicalisation.

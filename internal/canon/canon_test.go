@@ -260,3 +260,33 @@ func FuzzCanonFingerprint(f *testing.F) {
 		}
 	})
 }
+
+// TestLabelFingerprint: an equal copy shares the label fingerprint, a
+// row swap, a column relabelling or a cost change does not, and the
+// hash allocates nothing.
+func TestLabelFingerprint(t *testing.T) {
+	rows := [][]int{{0, 1}, {1, 2, 3}, {0, 3}, {2, 4}}
+	cost := []int{1, 2, 3, 4, 5}
+	p := mustProblem(t, rows, cost)
+	fp := LabelFingerprint(p)
+	if got := LabelFingerprint(mustProblem(t, rows, slices.Clone(cost))); got != fp {
+		t.Fatalf("equal copy: %v vs %v", got, fp)
+	}
+	swapped := slices.Clone(rows)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	cost2 := slices.Clone(cost)
+	cost2[4]++
+	for name, q := range map[string]*matrix.Problem{
+		"row swap":    mustProblem(t, swapped, cost),
+		"relabelled":  permuteProblem(p, []int{1, 0, 2, 3, 4}, rand.New(rand.NewSource(1))),
+		"cost change": mustProblem(t, rows, cost2),
+		"wider":       &matrix.Problem{Rows: p.Rows, NCol: 6, Cost: append(slices.Clone(cost), 1)},
+	} {
+		if LabelFingerprint(q) == fp {
+			t.Fatalf("%s: shares the fingerprint of the original", name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { LabelFingerprint(p) }); n != 0 {
+		t.Fatalf("%v allocs per call, want 0", n)
+	}
+}

@@ -85,37 +85,6 @@ func AblationPenalties() []AblationResult {
 	}
 }
 
-// ReductionResult is one side of the implicit-vs-explicit reduction
-// ablation: the cyclic-core rows it reached, summed over the ablation
-// set, and the time it took.
-type ReductionResult struct {
-	Label    string
-	CoreRows int
-	Time     time.Duration
-}
-
-// AblationImplicit compares, on the same coverings, the paper's
-// implicit reduction phase (scg.ImplicitReduceBudgetWorkers at the
-// paper's 5000-row, 10000-column early exit, then the explicit
-// fixpoint on its core) against the explicit fixpoint alone, which is
-// the reduction the solver runs.  Both sides run sequentially and
-// reach cores of the same size.
-func AblationImplicit() []ReductionResult {
-	phase := ReductionResult{Label: "implicit+explicit"}
-	explicit := ReductionResult{Label: "explicit-only"}
-	for _, in := range ablationInstances() {
-		prob := Covering(in)
-		t0 := time.Now()
-		ir := scg.ImplicitReduceBudgetWorkers(prob, 5000, 10000, 0, nil, 1)
-		phase.CoreRows += len(matrix.ReduceBudgetWorkers(ir.Core, nil, 1).Core.Rows)
-		phase.Time += time.Since(t0)
-		t0 = time.Now()
-		explicit.CoreRows += len(matrix.ReduceBudgetWorkers(prob, nil, 1).Core.Rows)
-		explicit.Time += time.Since(t0)
-	}
-	return []ReductionResult{phase, explicit}
-}
-
 // AblationRestarts sweeps the stochastic multi-run parameter NumIter.
 func AblationRestarts() []AblationResult {
 	var out []AblationResult

@@ -11,26 +11,34 @@ import (
 // checkSplitEssentials holds the essential prepass to the fixpoint it
 // is the first step of: SplitEssentials followed by a reduction of the
 // residual must agree with reducing the whole problem on
-// infeasibility, the essentials, the core rows and, mapped through
-// kept, their origins.
+// infeasibility, the essentials, the core rows and, mapped to the
+// input rows the residual keeps, their origins.
 func checkSplitEssentials(t *testing.T, label string, p *Problem) {
 	t.Helper()
-	ess, rest, kept, infeasible := p.SplitEssentials()
+	ess, rest, infeasible := p.SplitEssentials()
 	if !sort.IntsAreSorted(ess) {
 		t.Fatalf("%s: essentials %v not ascending", label, ess)
 	}
+	// kept lists the input rows no essential covers, the rows the
+	// residual must hold in order.
+	var kept []int
+	for i, r := range p.Rows {
+		if !slices.ContainsFunc(r, func(j int) bool { _, ok := slices.BinarySearch(ess, j); return ok }) {
+			kept = append(kept, i)
+		}
+	}
 	if !infeasible {
-		if len(ess) == 0 && (rest != p || kept != nil) {
+		if len(ess) == 0 && rest != p {
 			t.Fatalf("%s: no essential, yet the residual is not the problem itself", label)
 		}
-		if len(ess) > 0 && len(kept) != len(rest.Rows) {
-			t.Fatalf("%s: %d kept indices for %d residual rows", label, len(kept), len(rest.Rows))
+		if len(kept) != len(rest.Rows) {
+			t.Fatalf("%s: %d residual rows, %d input rows no essential covers", label, len(rest.Rows), len(kept))
 		}
 		for i, r := range rest.Rows {
 			if len(r) < 2 {
 				t.Fatalf("%s: residual row %d = %v is empty or a singleton", label, i, r)
 			}
-			if kept != nil && &r[0] != &p.Rows[kept[i]][0] {
+			if &r[0] != &p.Rows[kept[i]][0] {
 				t.Fatalf("%s: residual row %d does not alias input row %d", label, i, kept[i])
 			}
 		}
@@ -55,11 +63,7 @@ func checkSplitEssentials(t *testing.T, label string, p *Problem) {
 		if !slices.Equal(got.Core.Rows[i], r) {
 			t.Fatalf("%s: core row %d = %v, fixpoint %v", label, i, got.Core.Rows[i], r)
 		}
-		o := got.RowOrigin[i]
-		if kept != nil {
-			o = kept[o]
-		}
-		if o != want.RowOrigin[i] {
+		if o := kept[got.RowOrigin[i]]; o != want.RowOrigin[i] {
 			t.Fatalf("%s: core row %d from input row %d, fixpoint %d", label, i, o, want.RowOrigin[i])
 		}
 	}
@@ -101,7 +105,7 @@ func TestSplitEssentialsMatchesReduce(t *testing.T) {
 func TestSplitEssentialsNoSingletonAllocs(t *testing.T) {
 	p := MustNew([][]int{{0, 1}, {1, 2}, {0, 2}}, 3, nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, rest, kept, _ := p.SplitEssentials(); rest != p || kept != nil {
+		if _, rest, _ := p.SplitEssentials(); rest != p {
 			t.Fatal("a problem without singleton rows must come back as its own residual")
 		}
 	})

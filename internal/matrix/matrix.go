@@ -259,22 +259,21 @@ type Reduction struct {
 // order-independent, see dropSupersetRows — and applies them in
 // canonical index order.
 func ReduceBudgetWorkers(p *Problem, tr *budget.Tracker, workers int) *Reduction {
-	return reduce(p, tr, workers, nil, nil)
+	return reduce(p, tr, workers)
 }
 
 // SplitEssentials is the reduction fixpoint's first step on its own:
 // an empty row makes p infeasible, the column of every singleton row
 // is essential, and every row an essential covers leaves.  ess is
-// ascending; rest holds the remaining rows, empty ones included,
-// aliasing p's, and kept lists their indices in p.  Without a
-// singleton row it returns p itself and a nil kept, allocating
-// nothing.
+// ascending; rest holds the remaining rows in order, empty ones
+// included, aliasing p's.  Without a singleton row it returns p
+// itself, allocating nothing.
 //
 // rest has no singleton row, so reducing it repeats none of this step
 // and ReduceBudgetWorkers(rest) ends where ReduceBudgetWorkers(p)
-// does: the same core, its RowOrigin mapped through kept, and the
+// does: the same core, its RowOrigin indexing rest's rows, and the
 // remaining essentials.
-func (p *Problem) SplitEssentials() (ess []int, rest *Problem, kept []int, infeasible bool) {
+func (p *Problem) SplitEssentials() (ess []int, rest *Problem, infeasible bool) {
 	var isEss []bool // allocated at the first singleton row
 	for _, r := range p.Rows {
 		switch len(r) {
@@ -291,54 +290,20 @@ func (p *Problem) SplitEssentials() (ess []int, rest *Problem, kept []int, infea
 		}
 	}
 	if ess == nil {
-		return nil, p, nil, infeasible
+		return nil, p, infeasible
 	}
 	sort.Ints(ess)
 	rest = &Problem{NCol: p.NCol, Cost: p.Cost}
 rows:
-	for i, r := range p.Rows {
+	for _, r := range p.Rows {
 		for _, j := range r {
 			if isEss[j] {
 				continue rows
 			}
 		}
 		rest.Rows = append(rest.Rows, r)
-		kept = append(kept, i)
 	}
-	return ess, rest, kept, infeasible
-}
-
-// ReduceTrace records the dominance facts a reduction applied, as
-// (victim, witness) pairs: the input-row index a killed row descends
-// from together with the row that dominated it, and the id of a
-// removed column together with its dominating column.  Essential
-// extractions are not recorded — they are cheap to re-derive and their
-// justification (a singleton row) rarely survives an edit verbatim.
-//
-// A trace is a set of hints, not a proof: facts later in the list may
-// have been justified against an already-reduced intermediate state,
-// so ReplayReduce re-verifies every pair against the edited child
-// before applying it.  That is what makes replay sound under arbitrary
-// edits — an invalidated fact simply fails verification and falls back
-// to the fixpoint.
-type ReduceTrace struct {
-	// RowKills holds {killed, killer} input-row index pairs: killer's
-	// column set was a subset of killed's when the kill happened.
-	RowKills [][2]int32
-	// ColKills holds {removed, dominator} column-id pairs: dominator
-	// covered a superset of removed's rows at no greater cost.
-	ColKills [][2]int32
-}
-
-// ReduceTrackedTrace is ReduceBudgetWorkers plus a fact trace for
-// later incremental replay (see ReplayReduce): the same fixpoint, bit
-// for bit.  Tracing costs one extra O(rows+cols) scratch pass per
-// fixpoint round, and a duplicate row still scans the shorter rows,
-// because the trace records the first witness in (length, index)
-// order.
-func ReduceTrackedTrace(p *Problem, tr *budget.Tracker, workers int) (*Reduction, *ReduceTrace) {
-	trace := &ReduceTrace{}
-	return reduce(p, tr, workers, trace, nil), trace
+	return ess, rest, infeasible
 }
 
 // reduceScratch carries the fixpoint loop's reusable state: the packed
@@ -365,18 +330,6 @@ type reduceScratch struct {
 	colSig  []uint64
 	active  []int
 	deadCol []bool
-	// trace, when non-nil, collects the dominance facts the passes
-	// apply; killer/domBy are its per-pass witness scratch.
-	trace  *ReduceTrace
-	killer []int32
-	domBy  []int32
-	// colHints seeds the first column-dominance pass with candidate
-	// (victim, dominator) pairs from a parent trace: each pair is
-	// verified against the pass-start state — the same predicate the
-	// scan applies — and a verified victim skips its dominator scan.
-	// Hints can never change the kill set, only how cheaply it is
-	// found, so replayed reductions stay bit-identical to cold ones.
-	colHints [][2]int32
 }
 
 func growInt(s []int, n int) []int {
@@ -402,11 +355,8 @@ func sigOf(ids []int) uint64 {
 	return s
 }
 
-// reduce is the fixpoint behind every reduction entry point.  trace,
-// when non-nil, collects the applied dominance facts; colHints, when
-// non-nil, seeds the first column-dominance pass with replayed
-// candidate kills (see reduceScratch.colHints).
-func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, colHints [][2]int32) *Reduction {
+// reduce is the fixpoint behind every reduction entry point.
+func reduce(p *Problem, tr *budget.Tracker, workers int) *Reduction {
 	res := &Reduction{}
 	// Every pass rewrites rows in place, so the fixpoint runs on a copy
 	// and the input stays untouched.
@@ -415,7 +365,7 @@ func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, col
 	for i := range origin {
 		origin[i] = i
 	}
-	st := &reduceScratch{workers: workers, trace: trace, colHints: colHints}
+	st := &reduceScratch{workers: workers}
 	st.rowSig = growU64(st.rowSig, len(cur.Rows))
 	for i, r := range cur.Rows {
 		st.rowSig[i] = sigOf(r)
@@ -472,8 +422,9 @@ func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, col
 			}
 			if w == 0 {
 				// Drop the slices rather than truncate them: an
-				// emptied core, which a kept solve stores, then pins
-				// neither the copied rows nor the origin array.
+				// emptied core, which a ReduceProblem caller may
+				// keep, then pins neither the copied rows nor the
+				// origin array.
 				cur.Rows, origin = nil, nil
 			} else {
 				cur.Rows = cur.Rows[:w]
@@ -523,9 +474,8 @@ func reduce(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, col
 // for a subset only among the strictly shorter rows, and failing that
 // dies when an equal row of smaller index exists (linkDuplicates finds
 // it before the scan, from the same pass-start state).  The kill set
-// and the first-in-order witness are those of a scan over every
-// earlier row: shorter rows come first in the order, equal rows after
-// them by index.
+// is that of a scan over every earlier row: shorter rows come first in
+// the order, equal rows after them by index.
 func dropSupersetRows(p *Problem, origin []int, st *reduceScratch) ([]int, bool) {
 	n := len(p.Rows)
 	// Sort candidates by (length, index), packed into int64 keys so the
@@ -550,38 +500,25 @@ func dropSupersetRows(p *Problem, origin []int, st *reduceScratch) ([]int, bool)
 		keep[i] = true
 	}
 	sig := st.rowSig
-	// Witness capture for the replay trace: killer[b] is the canonical
-	// (first-in-order) dominator of a killed row b.  Shards write
-	// disjoint b's, so the slice needs no synchronisation, and the
-	// witness is deterministic because the inner scan order is.
-	var killer []int32
-	if st.trace != nil {
-		st.killer = growI32(st.killer, n)
-		killer = st.killer
-	}
 	var nKill atomic.Int64
 	parShard(n, st.workers, func(lo, hi int) {
 		kills := 0
 		for bi := lo; bi < hi; bi++ {
 			b := order[bi]
 			rb, sb := p.Rows[b], sig[b]
-			w := dup[b]
-			// An equal row alone decides the kill; only the trace needs
-			// to know whether a shorter subset comes first.
-			if w < 0 || killer != nil {
+			// An equal row alone decides the kill.
+			dead := dup[b] >= 0
+			if !dead {
 				shorter, _ := slices.BinarySearch(keys, int64(len(rb))<<32)
 				for _, a := range order[:shorter] {
 					if sig[a]&^sb == 0 && isSubsetSorted(p.Rows[a], rb) {
-						w = int32(a)
+						dead = true
 						break
 					}
 				}
 			}
-			if w >= 0 {
+			if dead {
 				keep[b] = false
-				if killer != nil {
-					killer[b] = w
-				}
 				kills++
 			}
 		}
@@ -591,16 +528,6 @@ func dropSupersetRows(p *Problem, origin []int, st *reduceScratch) ([]int, bool)
 	})
 	if nKill.Load() == 0 {
 		return origin, false
-	}
-	if st.trace != nil {
-		// Record in ascending victim index, before the filter below
-		// rewrites origin in place.
-		for b := 0; b < n; b++ {
-			if !keep[b] {
-				st.trace.RowKills = append(st.trace.RowKills,
-					[2]int32{int32(origin[b]), int32(origin[killer[b]])})
-			}
-		}
 	}
 	w := 0
 	for i, r := range p.Rows {
@@ -655,6 +582,22 @@ func linkDuplicates(p *Problem, order []int, st *reduceScratch) []int32 {
 		s = e
 	}
 	return dup
+}
+
+// rowContentHash folds a row's column ids into a 64-bit hash for the
+// duplicate search: one multiply per id (FNV-1a over whole ids), then
+// a splitmix finaliser.  linkDuplicates compares contents before it
+// links, so a collision never makes a wrong link.
+func rowContentHash(r []int) uint64 {
+	h := uint64(len(r))*0x9e3779b97f4a7c15 + 1
+	for _, j := range r {
+		h = (h ^ uint64(j)) * 0x100000001b3
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 func isSubsetSorted(a, b []int) bool { // a ⊆ b, both sorted
@@ -716,57 +659,11 @@ func dropDominatedCols(p *Problem, st *reduceScratch) bool {
 		colSig[j] = s
 		dead[j] = false
 	}
-	var domBy []int32
-	if st.trace != nil {
-		st.domBy = growI32(st.domBy, p.NCol)
-		domBy = st.domBy
-	}
 	var nDead atomic.Int64
-	// Hinted kills first: verify each replayed (victim, dominator) pair
-	// with the exact predicate the scan below applies.  A verified
-	// victim is killed without scanning for a dominator; an unverified
-	// pair is simply dropped and the victim scans normally.  Either way
-	// the kill set equals the scan's — a verified dominator IS a
-	// witness for the scan's existential — only the recorded witness
-	// may differ.  Hints apply to one pass only: they were recorded
-	// against the parent's corresponding pass state, and later passes
-	// run on states the parent never saw.
-	if st.colHints != nil {
-		nHint := 0
-		for _, f := range st.colHints {
-			k, j := int(f[0]), int(f[1])
-			if k < 0 || j < 0 || k >= p.NCol || j >= p.NCol || k == j || dead[k] {
-				continue
-			}
-			ck := idx[start[k]:start[k+1]]
-			cj := idx[start[j]:start[j+1]]
-			if len(ck) == 0 || p.Cost[j] > p.Cost[k] {
-				continue
-			}
-			if colSig[k]&^colSig[j] != 0 || len(ck) > len(cj) || !isSubsetSortedI32(ck, cj) {
-				continue
-			}
-			if len(ck) == len(cj) && p.Cost[j] == p.Cost[k] && j > k {
-				continue
-			}
-			dead[k] = true
-			if domBy != nil {
-				domBy[k] = int32(j)
-			}
-			nHint++
-		}
-		st.colHints = nil
-		if nHint > 0 {
-			nDead.Add(int64(nHint))
-		}
-	}
 	parShard(len(active), st.workers, func(lo, hi int) {
 		kills := 0
 		for ki := lo; ki < hi; ki++ {
 			k := active[ki]
-			if dead[k] {
-				continue // killed by a verified hint above
-			}
 			ck := idx[start[k]:start[k+1]]
 			sk, costK := colSig[k], p.Cost[k]
 			for _, j := range active {
@@ -786,9 +683,6 @@ func dropDominatedCols(p *Problem, st *reduceScratch) bool {
 					continue
 				}
 				dead[k] = true
-				if domBy != nil {
-					domBy[k] = int32(j)
-				}
 				kills++
 				break
 			}
@@ -799,13 +693,6 @@ func dropDominatedCols(p *Problem, st *reduceScratch) bool {
 	})
 	if nDead.Load() == 0 {
 		return false
-	}
-	if st.trace != nil {
-		for _, k := range active {
-			if dead[k] {
-				st.trace.ColKills = append(st.trace.ColKills, [2]int32{int32(k), domBy[k]})
-			}
-		}
 	}
 	for i, r := range p.Rows {
 		out := r[:0]

@@ -56,14 +56,13 @@ func TestReduceOriginValid(t *testing.T) {
 	}
 }
 
-// naiveReduction is what naiveReduce finds: the fields of a traced
-// Reduction, and the trace's kill pairs.
+// naiveReduction is what naiveReduce finds: the fields of a
+// Reduction.
 type naiveReduction struct {
-	infeasible         bool
-	ess                []int
-	rows               [][]int
-	origin             []int
-	rowKills, colKills [][2]int32
+	infeasible bool
+	ess        []int
+	rows       [][]int
+	origin     []int
 }
 
 // naiveReduce is the reference for the reduction fixpoint: the same
@@ -71,9 +70,8 @@ type naiveReduction struct {
 // dominance, column dominance) until a round changes nothing, written
 // with plain set membership — no signatures, no hashing, no sharding.
 // Row b dies when an earlier row in (length, index) order is a subset
-// of it, witnessed by the first such row.  Column k dies when some
-// j ≠ k with cost_j ≤ cost_k covers every row k covers, unless rows
-// and costs are equal and j > k, witnessed by the smallest such j.
+// of it.  Column k dies when some j ≠ k with cost_j ≤ cost_k covers
+// every row k covers, unless rows and costs are equal and j > k.
 func naiveReduce(p *Problem) naiveReduction {
 	var res naiveReduction
 	subset := func(a, b []int) bool {
@@ -127,23 +125,12 @@ func naiveReduce(p *Problem) naiveReduction {
 			order[i] = i
 		}
 		sort.SliceStable(order, func(x, y int) bool { return len(rows[order[x]]) < len(rows[order[y]]) })
-		witness := make([]int, len(rows))
+		killed := make([]bool, len(rows))
 		for pos, b := range order {
-			witness[b] = -1
-			for _, a := range order[:pos] {
-				if subset(rows[a], rows[b]) {
-					witness[b] = a
-					break
-				}
-			}
+			killed[b] = slices.ContainsFunc(order[:pos], func(a int) bool { return subset(rows[a], rows[b]) })
+			changed = changed || killed[b]
 		}
-		for b, a := range witness {
-			if a >= 0 {
-				res.rowKills = append(res.rowKills, [2]int32{int32(origin[b]), int32(origin[a])})
-				changed = true
-			}
-		}
-		keepRows(func(i int) bool { return witness[i] >= 0 })
+		keepRows(func(i int) bool { return killed[i] })
 
 		colRows := make([][]int, p.NCol)
 		for i, r := range rows {
@@ -164,7 +151,6 @@ func naiveReduce(p *Problem) naiveReduction {
 					continue
 				}
 				dead[k] = true
-				res.colKills = append(res.colKills, [2]int32{int32(k), int32(j)})
 				changed = true
 				break
 			}
@@ -179,38 +165,27 @@ func naiveReduce(p *Problem) naiveReduction {
 }
 
 // checkReduceMatchesNaive holds the reduction at each worker count to
-// naiveReduce, traced and untraced (an untraced pass kills a duplicate
-// row without scanning for a shorter subset): infeasibility, sorted
-// essentials, core rows, row origins and the trace's kill lists.
+// naiveReduce: infeasibility, sorted essentials, core rows and row
+// origins.
 func checkReduceMatchesNaive(t *testing.T, label string, p *Problem) {
 	t.Helper()
 	want := naiveReduce(p)
 	for _, workers := range []int{1, 2, 4, 8} {
-		traced, trace := ReduceTrackedTrace(p, nil, workers)
-		for k, got := range []*Reduction{traced, ReduceBudgetWorkers(p, nil, workers)} {
-			tag := fmt.Sprintf("%s workers=%d traced=%v", label, workers, k == 0)
-			if got.Infeasible != want.infeasible {
-				t.Fatalf("%s: infeasible %v, naive %v\nrows=%v", tag, got.Infeasible, want.infeasible, p.Rows)
-			}
-			if want.infeasible {
-				continue
-			}
-			switch {
-			case !slices.Equal(got.Essential, want.ess):
-				t.Fatalf("%s: essentials %v, naive %v\nrows=%v cost=%v", tag, got.Essential, want.ess, p.Rows, p.Cost)
-			case !slices.EqualFunc(got.Core.Rows, want.rows, slices.Equal[[]int]):
-				t.Fatalf("%s: core %v, naive %v\nrows=%v cost=%v", tag, got.Core.Rows, want.rows, p.Rows, p.Cost)
-			case !slices.Equal(got.RowOrigin, want.origin):
-				t.Fatalf("%s: origins %v, naive %v\nrows=%v cost=%v", tag, got.RowOrigin, want.origin, p.Rows, p.Cost)
-			}
-		}
+		got := ReduceBudgetWorkers(p, nil, workers)
 		tag := fmt.Sprintf("%s workers=%d", label, workers)
+		if got.Infeasible != want.infeasible {
+			t.Fatalf("%s: infeasible %v, naive %v\nrows=%v", tag, got.Infeasible, want.infeasible, p.Rows)
+		}
+		if want.infeasible {
+			continue
+		}
 		switch {
-		case want.infeasible:
-		case !slices.Equal(trace.RowKills, want.rowKills):
-			t.Fatalf("%s: row kills %v, naive %v\nrows=%v cost=%v", tag, trace.RowKills, want.rowKills, p.Rows, p.Cost)
-		case !slices.Equal(trace.ColKills, want.colKills):
-			t.Fatalf("%s: column kills %v, naive %v\nrows=%v cost=%v", tag, trace.ColKills, want.colKills, p.Rows, p.Cost)
+		case !slices.Equal(got.Essential, want.ess):
+			t.Fatalf("%s: essentials %v, naive %v\nrows=%v cost=%v", tag, got.Essential, want.ess, p.Rows, p.Cost)
+		case !slices.EqualFunc(got.Core.Rows, want.rows, slices.Equal[[]int]):
+			t.Fatalf("%s: core %v, naive %v\nrows=%v cost=%v", tag, got.Core.Rows, want.rows, p.Rows, p.Cost)
+		case !slices.Equal(got.RowOrigin, want.origin):
+			t.Fatalf("%s: origins %v, naive %v\nrows=%v cost=%v", tag, got.RowOrigin, want.origin, p.Rows, p.Cost)
 		}
 	}
 }

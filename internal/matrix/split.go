@@ -23,7 +23,7 @@ type Split struct {
 // SplitEssentials over the whole problem, ColumnSets.AddRow over every
 // row and one Find per row to number the parts.
 func (p *Problem) SplitParts() *Split {
-	ess, rest, _, _ := p.SplitEssentials()
+	ess, rest, _ := p.SplitEssentials()
 	sets, first := rowSets(p)
 	return NewSplit(sets, first, ess, rest.Rows, p.Cost)
 }

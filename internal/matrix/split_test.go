@@ -28,7 +28,7 @@ func checkSplitParts(t *testing.T, label string, p *Problem) {
 	}
 	gotEss, gotRest := s.Bucket()
 	for k, c := range comps {
-		ess, rest, _, infeasible := c.Problem.SplitEssentials()
+		ess, rest, infeasible := c.Problem.SplitEssentials()
 		empty := slices.ContainsFunc(gotRest[k].Rows, func(r []int) bool { return len(r) == 0 })
 		if empty != infeasible {
 			t.Fatalf("%s: part %d holds an empty row %v, prepass infeasible %v", label, k, empty, infeasible)

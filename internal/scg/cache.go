@@ -37,20 +37,16 @@ func resultWords(opt *Options) [17]uint64 {
 	}
 }
 
-// cacheKey builds the cache key for one solve: the problem's canonical
-// 128-bit fingerprint (row/column permutations of the same instance
-// share it) folded with a digest of resultWords.
-//
-// The canonical form is returned alongside the key: because the key is
-// label-invariant, solutions must cross the cache in canonical column
-// indices (see toCanonical / fromCanonical), translated through each
-// prober's own column permutation.
-func cacheKey(p *matrix.Problem, opt *Options) (solvecache.Key, *canon.Canonical) {
+// cacheKey builds the cache key for one solve: the problem's label
+// fingerprint (the rows in order, the costs, the column count) folded
+// with a digest of resultWords.  The solve is not label-invariant, so
+// only a verbatim resubmission may share a key; a row or column
+// permutation of a cached problem misses.
+func cacheKey(p *matrix.Problem, opt *Options) solvecache.Key {
 	words := resultWords(opt)
 	d := canon.DigestWords(0x5343_4731, words[:]...) // "SCG1"
-	cn := canon.Canonicalize(p)
-	fp := cn.FP.Derive(d)
-	return solvecache.Key{Hi: fp.Hi, Lo: fp.Lo}, cn
+	fp := canon.LabelFingerprint(p).Derive(d)
+	return solvecache.Key{Hi: fp.Hi, Lo: fp.Lo}
 }
 
 // copyResult deep-copies a result so cached values never alias a
@@ -65,16 +61,15 @@ func copyResult(r *Result) *Result {
 
 // solveCached serves one solve through the cross-solve cache with
 // singleflight deduplication.  The leader computes and returns its own
-// result; a defensive copy — with the solution translated to canonical
-// indices, since any isomorphic relabeling probes the same key —
-// enters the cache only when the solve ran to completion and took at
-// least the cache's admission threshold.  A budget-interrupted leader
-// shares nothing: its waiters compute for themselves under their own
-// budgets (see solvecache.Do).  Hits translate the stored solution
-// into the prober's labels and verify it covers; a verification
-// failure (a fingerprint collision, p < 2⁻¹²⁸) falls back to solving.
+// result; a defensive copy enters the cache only when the solve ran to
+// completion and took at least the cache's admission threshold.  A
+// budget-interrupted leader shares nothing: its waiters compute for
+// themselves under their own budgets (see solvecache.Do).  Hits verify
+// that the stored solution covers the prober's matrix at the stored
+// cost; a verification failure (a fingerprint collision, p < 2⁻¹²⁸)
+// falls back to solving.
 func solveCached(p *matrix.Problem, opt Options) *Result {
-	key, cn := cacheKey(p, &opt)
+	key := cacheKey(p, &opt)
 	// A budget-carrying solve passes its cancellation to the cache so a
 	// waiter whose own context dies (client disconnect) stops waiting
 	// on the leader and unwinds under its own budget immediately.
@@ -87,10 +82,7 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 		t0 := time.Now()
 		mine = solve(p, opt, nil)
 		mine.Stats.CacheMisses = 1
-		cp := copyResult(mine)
-		canSol, ok := cn.EncodeCols(cp.Solution, p.NCol)
-		cp.Solution = canSol
-		return cp, time.Since(t0), ok && !mine.Interrupted
+		return copyResult(mine), time.Since(t0), !mine.Interrupted
 	})
 	if mine != nil {
 		// This caller computed (leader, or waiter behind a failed
@@ -98,16 +90,11 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 		return mine
 	}
 	res := copyResult(v.(*Result))
-	sol, ok := cn.DecodeCols(res.Solution)
-	if ok && sol != nil {
-		ok = p.IsCover(sol) && p.CostOf(sol) == res.Cost
-	}
-	if !ok {
+	if res.Solution != nil && !(p.IsCover(res.Solution) && p.CostOf(res.Solution) == res.Cost) {
 		res = solve(p, opt, nil)
 		res.Stats.CacheMisses = 1
 		return res
 	}
-	res.Solution = sol
 	res.Stats.CacheHits, res.Stats.CacheMisses = 1, 0
 	return res
 }

@@ -9,30 +9,32 @@ import (
 // Incremental re-solving.
 //
 // SolveKeep runs the same per-part pipeline as Solve (solvePart) with
-// a keep stage: the reduction trace, the cyclic core's block
-// decomposition and every block's portfolio results survive in a
-// SolveState.  The whole input is one part — replay works on
-// whole-problem row maps — so it is not split into its connected
-// parts first.  ResolveState then solves any child problem against a
-// kept state: it matches the child's rows to the state's problem by
-// content (matrix.DeltaBetween), replays the parent's reduction
-// through that match (ReplayReduce), and reuses, wholesale, every
-// block whose content the child left untouched — a block's portfolio
-// results are a pure function of (rows content, referenced costs,
-// block index, options), so a positional content match makes reuse
-// bit-exact, not approximate.
+// a keep stage: the cyclic core's block decomposition and every
+// block's portfolio results survive in a SolveState.  ResolveState then
+// solves any child problem against a kept state: it reduces the child
+// with the one fixpoint, exactly as Solve does, and reuses, wholesale,
+// every block whose content the child left untouched — a block's
+// portfolio results are a pure function of (rows content, referenced
+// costs, block index, options), so a positional content match makes
+// reuse bit-exact, not approximate.
+//
+// A kept solve is one part: the input is not split into its connected
+// parts first.  On a connected input that is what Solve does too; on
+// an input with several parts the one-part solve runs other restart
+// streams than Solve's part-by-part one, and those outputs are pinned,
+// so splitting kept solves is a change of their results, not of their
+// speed.
 
 // SolveState is the retained state of a SolveKeep solve, the parent
-// side of an incremental re-solve.  It is immutable once returned and
-// safe to share: ResolveState only reads it.
+// side of an incremental re-solve: the filled options, the cyclic
+// core's blocks, their portfolio results and the solve's result.  It
+// is immutable once returned and safe to share: ResolveState only
+// reads it.
 type SolveState struct {
-	problem *matrix.Problem
-	opt     Options // filled, no cache or hook
-	red     *matrix.Reduction
-	trace   *matrix.ReduceTrace
-	comps   []matrix.Component
-	states  []*compState
-	res     *Result
+	opt    Options // filled, no cache or hook
+	comps  []matrix.Component
+	states []*compState
+	res    *Result
 }
 
 // Result returns the solve's result (the same value SolveKeep
@@ -42,8 +44,8 @@ func (st *SolveState) Result() *Result { return st.res }
 // ResolveInfo reports how much of the parent solve a resolve reused.
 type ResolveInfo struct {
 	// Fallback is set when the parent state was unusable (nil,
-	// interrupted, stopped, or solved under different result-relevant
-	// options) and the child was solved from scratch.
+	// interrupted, or solved under different result-relevant options)
+	// and the child was solved from scratch.
 	Fallback bool
 	// CompsReused / CompsSolved count the cyclic core's blocks that
 	// were carried over versus re-solved.
@@ -52,35 +54,34 @@ type ResolveInfo struct {
 
 // SolveKeep runs the ZDD_SCG pipeline on p and returns the result
 // together with the state a later ResolveState can build on.  The
-// whole input is solved as one part (part 0): it is not split into its
-// connected parts first, because replay works on whole-problem row
-// maps.  On connected inputs the result therefore equals Solve bit for
-// bit; on inputs with several parts it is an equally valid solve whose
-// restart streams, and so possibly its counters and cover, differ.
-// Options.Cache and Options.OnImprove are ignored (the retained state
-// is the memoization here, and the observational hook has no defined
-// replay semantics).
+// whole input is solved as one part (part 0), not split into its
+// connected parts first.  On connected inputs the result therefore
+// equals Solve bit for bit; on inputs with several parts it is an
+// equally valid solve whose restart streams, and so possibly its
+// counters and cover, differ.  Options.Cache and Options.OnImprove are
+// ignored (the retained state is the memoization here, and a block a
+// resolve carries over emits no incumbents, so the hook would see
+// another stream than a cold solve's).
 func SolveKeep(p *matrix.Problem, opt Options) (*Result, *SolveState) {
 	opt = keptOptions(opt)
-	st := &SolveState{problem: p, opt: opt}
+	st := &SolveState{opt: opt}
 	st.res = solve(p, opt, &keep{st: st})
 	return st.res, st
 }
 
-// ResolveState solves child, reusing as much of the parent state st as
-// the two problems share.  Any parent state is usable: the row
-// correspondence the replay needs is computed from st's own problem.
-// The result is bit-identical to SolveKeep(child, opt); the fresh
+// ResolveState solves child, reusing every cyclic-core block it shares
+// with the parent state st.  Any parent state is usable: blocks are
+// matched by content, so an unrelated parent just shares fewer.  The
+// result is bit-identical to SolveKeep(child, opt); the fresh
 // SolveState makes resolves chainable.  A nil parent state is a cold
-// kept solve, and one that was interrupted, stopped or solved under
-// different result-relevant options degrades to the same, reported in
-// ResolveInfo.
+// kept solve, and one that was interrupted (a budget that stopped its
+// reduction included) or solved under different result-relevant
+// options degrades to the same, reported in ResolveInfo.
 func ResolveState(child *matrix.Problem, st *SolveState, opt Options) (*Result, *SolveState, ResolveInfo) {
 	opt = keptOptions(opt)
-	next := &SolveState{problem: child, opt: opt}
+	next := &SolveState{opt: opt}
 	kp := &keep{st: next}
-	fallback := st == nil || st.res == nil || st.res.Interrupted || st.red == nil || st.red.Stopped ||
-		!sameResultOptions(st.opt, opt)
+	fallback := st == nil || st.res == nil || st.res.Interrupted || !sameResultOptions(st.opt, opt)
 	if !fallback {
 		kp.parent = st
 	}
@@ -103,8 +104,8 @@ func keptOptions(opt Options) Options {
 
 // keep is the keep stage solvePart runs for SolveKeep and
 // ResolveState: st receives the session state as it is built, and
-// with a parent the reduction replays the parent's trace and unchanged
-// blocks are carried over.  A nil *keep is the plain pipeline.
+// with a parent unchanged blocks are carried over.  A nil *keep is the
+// plain pipeline.
 type keep struct {
 	st     *SolveState
 	parent *SolveState // nil: a cold kept solve

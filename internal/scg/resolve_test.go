@@ -1,11 +1,13 @@
 package scg
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"ucp/internal/benchmarks"
+	"ucp/internal/budget"
 	"ucp/internal/matrix"
 )
 
@@ -116,7 +118,7 @@ func TestSolveKeepMatchesSolve(t *testing.T) {
 		want := Solve(p, opt)
 		got, st := SolveKeep(p, opt)
 		sameSolve(t, "keep", got, want)
-		if st.Result() != got || st.problem != p {
+		if st.Result() != got {
 			t.Fatal("the state disagrees with the returned result")
 		}
 	}
@@ -190,41 +192,6 @@ func TestResolveAfterSettledParent(t *testing.T) {
 	}
 }
 
-// TestKeepStateNamesInputRows: the essential prepass drops rows before
-// a kept solve reduces, yet the kept reduction must still name input
-// rows, because the next replay maps through them: every core row is a
-// subset of the input row its RowOrigin names.
-func TestKeepStateNamesInputRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	cores := 0
-	for trial := 0; trial < 20; trial++ {
-		cyc := benchmarks.CyclicCovering(int64(trial), 30, 20, 3)
-		rows := append([][]int{{cyc.NCol}}, cyc.Rows...) // a singleton on a fresh column
-		at := 1 + rng.Intn(len(rows))
-		rows = append(rows[:at], append([][]int{{rng.Intn(cyc.NCol)}}, rows[at:]...)...)
-		p := matrix.MustNew(rows, cyc.NCol+1, nil)
-		_, st := SolveKeep(p, Options{Seed: int64(trial)})
-		red := st.red
-		if len(red.RowOrigin) != len(red.Core.Rows) {
-			t.Fatalf("trial %d: %d origins for %d core rows", trial, len(red.RowOrigin), len(red.Core.Rows))
-		}
-		for i, r := range red.Core.Rows {
-			in := p.Rows[red.RowOrigin[i]]
-			for _, j := range r {
-				if !slices.Contains(in, j) {
-					t.Fatalf("trial %d: core row %v is not within input row %d = %v", trial, r, red.RowOrigin[i], in)
-				}
-			}
-		}
-		if len(red.Core.Rows) > 0 {
-			cores++
-		}
-	}
-	if cores == 0 {
-		t.Fatal("every core was empty: nothing was checked")
-	}
-}
-
 // TestResolveIdentityReusesAllBlocks: an unchanged child must reuse
 // the parent's portfolio wholesale.
 func TestResolveIdentityReusesAllBlocks(t *testing.T) {
@@ -243,7 +210,7 @@ func TestResolveIdentityReusesAllBlocks(t *testing.T) {
 
 // TestResolveFallback: a nil or differently-configured parent state
 // degrades to a correct full solve and reports it; an unrelated parent
-// is usable, since the row match is computed from its own problem.
+// is usable, since blocks are matched by content.
 func TestResolveFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	p := randomProblem(rng, 14, 12, 3)
@@ -284,6 +251,37 @@ func TestResolveFallback(t *testing.T) {
 		t.Fatal("params change: fallback not reported")
 	}
 	sameSolve(t, "params", got3, want3)
+}
+
+// TestResolveFallbackInterruptedParent: a parent whose kept solve a
+// budget cut — inside the reduction (an already-cancelled context) or
+// in the portfolio (an iteration cap) — is interrupted, so resolving
+// against it falls back, and the result equals a cold kept solve of
+// the child under an unlimited budget.
+func TestResolveFallbackInterruptedParent(t *testing.T) {
+	p := benchmarks.CyclicCovering(3, 60, 45, 3)
+	child := editProblem(rand.New(rand.NewSource(76)), p)
+	opt := Options{Seed: 9, NumIter: 2}
+	want, _ := SolveKeep(child, opt)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, b := range map[string]budget.Budget{
+		"cancelled": {Context: cancelled},
+		"itercap":   {IterCap: 5},
+	} {
+		cut := opt
+		cut.Budget = b
+		res, st := SolveKeep(p, cut)
+		if !res.Interrupted {
+			t.Fatalf("%s: the parent solve was not interrupted", name)
+		}
+		got, _, info := ResolveState(child, st, opt)
+		if !info.Fallback || info.CompsReused != 0 {
+			t.Fatalf("%s: info %+v, want a fallback that reuses nothing", name, info)
+		}
+		sameSolve(t, name, got, want)
+	}
 }
 
 // unionOf places b beside a on fresh column ids: a problem whose rows

@@ -24,8 +24,8 @@
 // explicitly, and here the covering front end visits every row's
 // minterm, so the solve does not run a ZDD phase.
 // ImplicitReduceBudgetWorkers keeps the paper's ZDD phase as a
-// reference engine: the differential tests and the implicit-vs-explicit
-// ablation call it.
+// reference engine for the differential tests and the benchmark's
+// per-layer replay.
 package scg
 
 import (
@@ -111,15 +111,17 @@ type Options struct {
 	// (empty: the OS temp directory).  Ignored by scg.Solve.
 	SpillDir string
 	// Cache, when non-nil, memoizes whole solves across calls: the
-	// problem is canonicalised to a 128-bit fingerprint, folded with a
-	// digest of the result-relevant options (everything above except
-	// Workers, whose results are bit-identical by contract, and the
-	// budget's deadline/caps, which only matter when they fire — and
+	// problem as given (rows in order, costs, column count) is hashed
+	// to a 128-bit fingerprint, folded with a digest of the
+	// result-relevant options (everything above except Workers, whose
+	// results are bit-identical by contract, and the budget's
+	// deadline/caps, which only matter when they fire — and
 	// interrupted solves are never cached), and looked up before any
-	// work happens.  Concurrent identical solves are deduplicated
-	// behind one leader; Solution and Stats come back as defensive
-	// copies, with Stats.CacheHits/CacheMisses marking how the result
-	// was obtained.
+	// work happens.  Only a verbatim resubmission hits: the solve is
+	// not label-invariant, so a row or column permutation is solved
+	// afresh.  Concurrent identical solves are deduplicated behind one
+	// leader; Solution and Stats come back as defensive copies, with
+	// Stats.CacheHits/CacheMisses marking how the result was obtained.
 	Cache *solvecache.Cache
 }
 
@@ -228,8 +230,8 @@ func solve(p *matrix.Problem, opt Options, kp *keep) *Result {
 		return solveSplit(p.SplitParts(), opt, t0)
 	}
 	tr := opt.Budget.Tracker()
-	ess, rest, kept, infeasible := p.SplitEssentials()
-	return finish(MergeParts([]*PartResult{solveResidual(ess, rest, kept, infeasible, 0, 1, opt, tr, nil, kp)}), tr, t0)
+	ess, rest, infeasible := p.SplitEssentials()
+	return finish(MergeParts([]*PartResult{solveResidual(ess, rest, infeasible, 0, 1, opt, tr, nil, kp)}), tr, t0)
 }
 
 // solveSplit runs the per-part pipeline on every part of s and
@@ -260,7 +262,7 @@ func solveSplit(s *matrix.Split, opt Options, t0 time.Time) *Result {
 		}
 		// An empty row is residual, so it makes its part infeasible.
 		infeasible := slices.ContainsFunc(parts[k].Rows, func(r []int) bool { return len(r) == 0 })
-		pr := solveResidual(ess[k], &parts[k], nil, infeasible, k, len(parts), opt, tr, emit, nil)
+		pr := solveResidual(ess[k], &parts[k], infeasible, k, len(parts), opt, tr, emit, nil)
 		prs = append(prs, pr)
 		if pr.Solution == nil {
 			break // an uncoverable part: the whole problem is infeasible
@@ -310,26 +312,24 @@ type PartResult struct {
 // and Options.OnImprove are ignored at part level.
 func SolvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker) *PartResult {
 	opt.fill()
-	ess, rest, kept, infeasible := part.SplitEssentials()
-	return solveResidual(ess, rest, kept, infeasible, partIdx, nparts, opt, tr, nil, nil)
+	ess, rest, infeasible := part.SplitEssentials()
+	return solveResidual(ess, rest, infeasible, partIdx, nparts, opt, tr, nil, nil)
 }
 
 // solveResidual is the per-part pipeline (Figure 2 of the paper) after
-// the essential prepass, whose output ess, rest, kept and infeasible
-// are SplitEssentials': column compaction of the residual when the
-// input has several parts, reduction of the residual to the cyclic
-// core, block portfolio over the core, irredundant cleanup of the
-// residual's cover.  emit (may be nil) receives the part's improving
-// incumbents; a part the reductions finish emits its one cover.  kp
-// (may be nil) is the keep stage of an incremental solve: its
-// reduction is traced, or replayed from the parent's trace, and its
-// portfolio carries unchanged parent blocks over.
-func solveResidual(ess []int, rest *matrix.Problem, kept []int, infeasible bool, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) *PartResult {
+// the essential prepass, whose output ess, rest and infeasible are
+// SplitEssentials': column compaction of the residual when the input
+// has several parts, reduction of the residual to the cyclic core,
+// block portfolio over the core, irredundant cleanup of the residual's
+// cover.  emit (may be nil) receives the part's improving incumbents;
+// a part the reductions finish emits its one cover.  kp (may be nil)
+// is the keep stage of an incremental solve: its portfolio keeps the
+// core's blocks, and carries unchanged parent blocks over.
+func solveResidual(ess []int, rest *matrix.Problem, infeasible bool, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), kp *keep) *PartResult {
 	pr := &PartResult{}
 	t0 := time.Now()
 	red := &matrix.Reduction{Core: rest, Infeasible: infeasible}
 	var ids []int
-	var trace *matrix.ReduceTrace
 	input := rest // the residual in input column ids, before compaction
 	if !infeasible && len(rest.Rows) > 0 {
 		if nparts > 1 {
@@ -345,24 +345,7 @@ func solveResidual(ess []int, rest *matrix.Problem, kept []int, infeasible bool,
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		// ----- reduction to the cyclic core: plain, or traced for a
-		// kept solve and replayed from the parent's trace for a resolve.
-		// A kept solve has one uncompacted part, so the residual's rows
-		// are matched against the parent's whole problem, whose rows
-		// the trace names -----
-		switch {
-		case kp == nil:
-			red = matrix.ReduceBudgetWorkers(rest, tr, workers)
-		case kp.parent == nil:
-			red, trace = matrix.ReduceTrackedTrace(rest, tr, workers)
-		default:
-			d := matrix.DeltaBetween(kp.parent.problem, rest)
-			red, trace = matrix.ReplayReduce(d, kp.parent.trace, tr, workers)
-		}
-		liftRows(red, trace, kept)
-	}
-	if kp != nil {
-		kp.st.red, kp.st.trace = red, trace
+		red = matrix.ReduceBudgetWorkers(rest, tr, workers)
 	}
 	if red.Infeasible {
 		return pr
@@ -449,23 +432,6 @@ func solveResidual(ess []int, rest *matrix.Problem, kept []int, infeasible bool,
 	pr.LB = lbSum
 	pr.CeilLB = ceilSum
 	return pr
-}
-
-// liftRows maps a reduction of the residual back to the part's rows,
-// where the next replay reads them:
-// residual row i is part row kept[i] (kept nil: they coincide).
-func liftRows(red *matrix.Reduction, trace *matrix.ReduceTrace, kept []int) {
-	if kept == nil {
-		return
-	}
-	for i, o := range red.RowOrigin {
-		red.RowOrigin[i] = kept[o]
-	}
-	if trace != nil {
-		for k, f := range trace.RowKills {
-			trace.RowKills[k] = [2]int32{int32(kept[f[0]]), int32(kept[f[1]])}
-		}
-	}
 }
 
 // MergeParts folds per-part results — in canonical part order — into

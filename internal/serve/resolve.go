@@ -12,16 +12,17 @@ import (
 // The keep/parent protocol: a request with `keep` retains the solve's
 // state server-side and answers with a `solve_id`; a follow-up request
 // naming that id as `parent` is solved incrementally — the solver
-// matches the new instance's rows to the retained one's and replays
-// the retained reductions and portfolio blocks instead of starting
-// over.  An expired or unknown id degrades to a from-scratch solve
+// reduces the new instance as a cold solve would and reuses every
+// retained portfolio block the two instances share instead of solving
+// it again.  An expired or unknown id degrades to a from-scratch solve
 // (counted in /stats), never an error: the id is a performance hint,
 // not state the client may rely on.
 
 // maxKeptStates bounds the retained-state table.  A retained state
-// holds the parent's instance, its reduced core and the portfolio
-// results of every core block, so the table is deliberately small —
-// an LRU of the most recent chains, not a durable store.
+// holds the solve's options and result, the blocks of its cyclic core
+// and the portfolio results of every block, so the table is
+// deliberately small — an LRU of the most recent chains, not a durable
+// store.
 const maxKeptStates = 64
 
 // keepStore is the id → retained-state LRU behind the keep/parent
@@ -87,7 +88,7 @@ type ResolveStats struct {
 	CompsReused int64 `json:"comps_reused"` // portfolio blocks carried over verbatim
 	CompsSolved int64 `json:"comps_solved"` // portfolio blocks re-solved
 	// ReplayFraction is comps_reused / (comps_reused + comps_solved):
-	// the share of cyclic-core work the incremental path avoided.
+	// the share of cyclic-core blocks carried over from parents.
 	ReplayFraction float64 `json:"replay_fraction"`
 	Kept           int     `json:"kept"`            // retained states resident
 	UnknownParents int64   `json:"unknown_parents"` // parent ids not found (expired or bogus)
@@ -112,7 +113,7 @@ func (s *Server) resolveStats() ResolveStats {
 
 // solveSCGKeep handles the keep/parent variants of an scg solve: the
 // state is retained and its id returned; with a parent named, the
-// solve replays that parent's state incrementally.  These solves
+// solve reuses that parent's blocks incrementally.  These solves
 // bypass the cross-solve cache (the retained state, not the memoized
 // result, is the product), and they emit no streamed incumbents — the
 // final record is unaffected.

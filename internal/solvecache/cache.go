@@ -1,5 +1,5 @@
 // Package solvecache is a sharded, singleflight-deduplicated LRU for
-// solver results keyed by 128-bit canonical fingerprints.
+// solver results keyed by 128-bit problem fingerprints.
 //
 // The cache is sized in entries and split over a power-of-two number
 // of shards, each with its own lock and LRU list, so concurrent
@@ -29,8 +29,8 @@ import (
 	"time"
 )
 
-// Key is a 128-bit cache key (a canonical fingerprint folded with a
-// solver/options digest).
+// Key is a 128-bit cache key (a problem's label fingerprint, see
+// canon.LabelFingerprint, folded with a solver/options digest).
 type Key struct {
 	Hi, Lo uint64
 }

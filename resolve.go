@@ -9,12 +9,12 @@ import (
 // Incremental re-solving.
 //
 // SolveSCGKeep solves a problem and returns, beside the result, a
-// *Resolvable handle on the solve's retained state.  Solver.Resolve
-// answers any later problem against such a handle: it matches the new
-// problem's rows to the solved one's by content, replays the recorded
-// reduction facts through that match and reuses every portfolio block
-// the two problems share, instead of starting over.  The result is
-// bit-identical to a from-scratch SolveSCGKeep of the new problem.
+// *Resolvable handle on the solve's retained state: its cyclic core's
+// blocks and their portfolio results.  Solver.Resolve answers any later
+// problem against such a handle: it reduces the new problem as a cold
+// solve would and reuses every core block the two problems share
+// instead of solving it again.  The result is bit-identical to a
+// from-scratch SolveSCGKeep of the new problem.
 
 // Resolvable is the retained state of a SolveSCGKeep (or Resolve)
 // call: the parent side of an incremental re-solve.  It is immutable
@@ -53,10 +53,10 @@ func (c *resolveCounters) snapshot() ResolveStats {
 
 // SolveSCGKeep solves p with the session state kept for later
 // incremental re-solves.  The whole input is solved as one part,
-// without first splitting it into its connected parts (replay works on
-// whole-problem row maps): on a connected p the result equals SolveSCG
-// bit for bit, while on a p with several parts the restart streams and
-// so possibly the counters and the cover differ.
+// without first splitting it into its connected parts: on a connected
+// p the result equals SolveSCG bit for bit, while on a p with several
+// parts the restart streams and so possibly the counters and the cover
+// differ.
 func (s *Solver) SolveSCGKeep(p *Problem, opt SCGOptions) (*SCGResult, *Resolvable) {
 	res, st := scg.SolveKeep(p, opt)
 	return res, &Resolvable{state: st}

@@ -64,9 +64,9 @@ func withRows(p *Problem, rows ...[]int) *Problem {
 }
 
 // TestSolverResolveUnrelatedParent: a parent whose problem is not the
-// child's is still a usable parent — the row match comes from its own
-// problem — so the resolve counts a parent hit, no fallback, and
-// equals the cold kept solve.
+// child's is still a usable parent — blocks are matched by content —
+// so the resolve counts a parent hit, no fallback, and equals the cold
+// kept solve.
 func TestSolverResolveUnrelatedParent(t *testing.T) {
 	s := NewSolver(SolverOptions{})
 	opt := SCGOptions{Seed: 5, NumIter: 2}

@@ -11,9 +11,10 @@ type SolverOptions struct {
 // Solver is a session handle over the package's solvers: every entry
 // point run through one Solver shares one cross-solve Cache, so an
 // iterated minimisation loop — or a server answering many users —
-// pays for each distinct covering problem once.  Results served from
-// the cache are bit-identical to computed ones (Solution, Cost, LB,
-// optimality); only the cache counters and timings differ.
+// pays for each distinct covering problem once.  The cache serves only
+// verbatim resubmissions, so a result served from it is bit-identical
+// to computing it (Solution, Cost, LB, optimality); only the cache
+// counters and timings differ.
 //
 // A Solver is safe for concurrent use; concurrent identical solves
 // are deduplicated behind a single computation.
@@ -52,8 +53,8 @@ func (s *Solver) SolveExact(p *Problem, opt ExactOptions) *ExactResult {
 }
 
 // MinimizeSCG minimises a PLA with the paper's pipeline, serving the
-// covering solve from the session cache when it has seen the problem
-// (or a row/column permutation of it) before.
+// covering solve from the session cache when it has seen the same
+// covering problem before.
 func (s *Solver) MinimizeSCG(f *PLA, opt SCGOptions) (*TwoLevelResult, error) {
 	if opt.Cache == nil {
 		opt.Cache = s.cache
