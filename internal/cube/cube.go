@@ -429,38 +429,53 @@ func (s *Space) Minterms(c Cube, o int, visit func(m uint64) bool) error {
 // then lies in c exactly when (m^value)&^mask == 0.  Cubes with an
 // Empty input part have no minterms; ok reports false for them.
 // Spaces beyond 63 inputs do not fit the packing and also report
-// ok=false.
+// ok=false.  Each word's 32 parts are split into their two bits with
+// the low-bit mask and gathered word-parallel (evenBits).
 func (s *Space) PackInput(c Cube) (value, mask uint64, ok bool) {
 	if s.inputs > 63 {
 		return 0, 0, false
 	}
-	for i := 0; i < s.inputs; i++ {
-		switch s.Input(c, i) {
-		case One:
-			value |= 1 << i
-		case DC:
-			mask |= 1 << i
-		case Zero:
-		default:
+	for w := 0; 32*w < s.inputs; w++ {
+		x, low := c[w], s.lowMask[w]
+		if s.emptyParts(x, w) != 0 {
 			return 0, 0, false // empty part: no minterms
 		}
+		zero, one := x&low, x>>1&low
+		value |= evenBits(one&^zero) << (32 * w)
+		mask |= evenBits(one&zero) << (32 * w)
 	}
 	return value, mask, true
 }
 
+// evenBits gathers bits 0, 2, 4, … 62 of x into bits 0–31.
+func evenBits(x uint64) uint64 {
+	x &= 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0F0F0F0F0F0F0F0F
+	x = (x | x>>4) & 0x00FF00FF00FF00FF
+	x = (x | x>>8) & 0x0000FFFF0000FFFF
+	return (x | x>>16) & 0x00000000FFFFFFFF
+}
+
 // PackOutputs returns the output part of c as a bitmask (bit o set
 // when the cube drives output o).  Spaces beyond 64 outputs do not fit
-// and report ok=false; a space with no outputs packs to 0, true.
+// and report ok=false; a space with no outputs packs to 0, true.  The
+// outputs are the contiguous bits from bit 2·inputs, so the mask is at
+// most two shifted words.
 func (s *Space) PackOutputs(c Cube) (outs uint64, ok bool) {
 	if s.outputs > 64 {
 		return 0, false
 	}
-	for o := 0; o < s.outputs; o++ {
-		if s.Output(c, o) {
-			outs |= 1 << o
-		}
+	if s.outputs == 0 {
+		return 0, true
 	}
-	return outs, true
+	b := 2 * s.inputs
+	w, off := b/64, uint(b%64)
+	outs = c[w] >> off
+	if off+uint(s.outputs) > 64 {
+		outs |= c[w+1] << (64 - off)
+	}
+	return outs & (1<<uint(s.outputs) - 1), true
 }
 
 // CubeOfMinterm builds the single-minterm cube for input assignment m

@@ -334,6 +334,46 @@ func TestPartOpsMatchPerVariable(t *testing.T) {
 			t.Fatalf("trial %d: IsEmpty = %v, want %v", trial, s.IsEmpty(a), aEmpty)
 		}
 		requireConsensus(t, s, a, b, fmt.Sprintf("trial %d", trial))
+		requirePacked(t, s, a, fmt.Sprintf("trial %d", trial))
+	}
+	// Wider than a packed mask: rejected, not truncated.
+	wide := NewSpace(2, 65)
+	if _, ok := wide.PackOutputs(wide.FullCube()); ok {
+		t.Fatal("PackOutputs packed 65 outputs")
+	}
+}
+
+// requirePacked fails unless PackInput and PackOutputs agree with the
+// per-variable reading of c through Input and Output.
+func requirePacked(t *testing.T, s *Space, c Cube, label string) {
+	t.Helper()
+	var value, mask uint64
+	ok := s.Inputs() <= 63
+	for i := 0; ok && i < s.Inputs(); i++ {
+		switch s.Input(c, i) {
+		case One:
+			value |= 1 << i
+		case DC:
+			mask |= 1 << i
+		case Empty:
+			ok = false
+		}
+	}
+	if !ok {
+		value, mask = 0, 0
+	}
+	gv, gm, gok := s.PackInput(c)
+	if gv != value || gm != mask || gok != ok {
+		t.Fatalf("%s: PackInput(%s) = (%#x, %#x, %v), want (%#x, %#x, %v)", label, s.String(c), gv, gm, gok, value, mask, ok)
+	}
+	var outs uint64
+	for o := 0; o < s.Outputs(); o++ {
+		if s.Output(c, o) {
+			outs |= 1 << o
+		}
+	}
+	if got, ok := s.PackOutputs(c); got != outs || !ok {
+		t.Fatalf("%s: PackOutputs(%s) = (%#x, %v), want %#x", label, s.String(c), got, ok, outs)
 	}
 }
 

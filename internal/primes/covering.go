@@ -178,7 +178,10 @@ func (b *coverer) paint(o int) {
 	for k, cv := range [2]*cube.Cover{b.f, b.d} {
 		for i := 0; cv != nil && i < cv.Len(); i++ {
 			c := cv.Cubes[i]
-			if p, ok := b.pack(c, -1); ok && (b.s.Outputs() == 0 || b.s.Output(c, o)) {
+			if b.s.Outputs() > 0 && !b.s.Output(c, o) {
+				continue
+			}
+			if p, ok := b.pack(c, -1); ok {
 				b.set(p, k == 0)
 			}
 		}

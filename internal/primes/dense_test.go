@@ -131,10 +131,75 @@ func TestDenseMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// consensusWork runs the consensus closure uncapped on a fresh meter and
+// also returns the work units it charged.
+func consensusWork(f, d *cube.Cover) (*cube.Cover, bool, uint64) {
+	w := &workMeter{}
+	out, complete := consensus(f, d, w)
+	return out, complete, w.used
+}
+
+// widen re-embeds cv (nil stays nil) in ws, a space wider than one word
+// made by wideSpace: every cube keeps its parts, and the extra outputs
+// are never driven, the extra inputs always don't care.
+func widen(ws *cube.Space, cv *cube.Cover) *cube.Cover {
+	if cv == nil {
+		return nil
+	}
+	s := cv.S
+	out := cube.NewCover(ws)
+	for _, c := range cv.Cubes {
+		x := ws.NewCube()
+		for i := 0; i < ws.Inputs(); i++ {
+			l := cube.DC
+			if i < s.Inputs() {
+				l = s.Input(c, i)
+			}
+			ws.SetInput(x, i, l)
+		}
+		for o := 0; o < s.Outputs(); o++ {
+			ws.SetOutput(x, o, s.Output(c, o))
+		}
+		out.Add(x)
+	}
+	return out
+}
+
+// wideSpace returns a space two or more words wide that holds s's
+// functions unchanged: s with 64 extra outputs or, when s has no
+// outputs (where an undriven output would empty every cube), with 32
+// extra inputs.  Neither changes a consensus, a containment or the
+// canonical order.
+func wideSpace(s *cube.Space) *cube.Space {
+	if s.Outputs() > 0 {
+		return cube.NewSpace(s.Inputs(), s.Outputs()+64)
+	}
+	return cube.NewSpace(s.Inputs()+32, 0)
+}
+
+// requireWideAgrees solves (f, d) by consensus in its own one-word space
+// (closeOneWord) and again widened (closeCubes), and fails unless both
+// closures end alike: the same complete flag, the same primes once
+// widened and the same work units.
+func requireWideAgrees(t *testing.T, f, d *cube.Cover, label string) {
+	t.Helper()
+	if s := f.S; 2*s.Inputs()+s.Outputs() > 64 {
+		t.Fatalf("%s: %d inputs and %d outputs do not fit one word", label, s.Inputs(), s.Outputs())
+	}
+	ws := wideSpace(f.S)
+	narrow, nc, nu := consensusWork(f, d)
+	wide, wc, wu := consensusWork(widen(ws, f), widen(ws, d))
+	if nc != wc || nu != wu {
+		t.Fatalf("%s: one word complete=%v in %d units, widened complete=%v in %d", label, nc, nu, wc, wu)
+	}
+	requireSameCover(t, ws, wide, widen(ws, narrow), label)
+}
+
 // TestDenseMatchesConsensus drives both engines over random functions
 // large enough to exercise the high-variable chunk dictionary (inputs
 // beyond denseKLow) and checks canonical prime sets and covering
-// problems are bit-identical.
+// problems are bit-identical.  Each function is also re-embedded in a
+// wider space, so both consensus closures are held to each other.
 func TestDenseMatchesConsensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 80; trial++ {
@@ -149,6 +214,7 @@ func TestDenseMatchesConsensus(t *testing.T) {
 		}
 		requireSameCover(t, s, got, want, "primes")
 		requireSameCovering(t, f, d, got, "covering")
+		requireWideAgrees(t, f, d, fmt.Sprintf("trial %d widened", trial))
 	}
 }
 
@@ -350,9 +416,9 @@ func requireDegradedContract(t *testing.T, f, d, out *cube.Cover) {
 
 // TestGenerateBudgetDeadline holds iterated consensus to its deadline
 // on an instance whose closure runs for seconds: the tracker is polled
-// from the work counter (and inside the dedup pass), not just between
-// outer cubes, so the return comes promptly and still meets the
-// degradation contract.
+// from the work counter (after each outer cube's row of pairs and
+// inside the dedup pass), so the return comes promptly and still meets
+// the degradation contract.
 func TestGenerateBudgetDeadline(t *testing.T) {
 	p := benchmarks.RandomPLA(3, 16, 4, 200, 0.5, 0)
 	f, d := p.F, p.DontCares()
@@ -440,9 +506,11 @@ func TestDenseChunkCapOverflow(t *testing.T) {
 // FuzzPrimesDense is the differential acceptance gate: on arbitrary
 // random functions the dense sweep, iterated consensus and the
 // work-capped dispatcher must produce identical canonical prime sets
-// and bit-identical covering problems.  Up to 12 inputs, so outputs
-// span up to 64 need words and primes up to 6 high don't-care bits:
-// the covering scatter meets both of its word walks.
+// and bit-identical covering problems, and the one-word consensus
+// closure must end as the cube-slice closure does on the same function
+// widened (requireWideAgrees).  Up to 12 inputs, so outputs span up to
+// 64 need words and primes up to 6 high don't-care bits: the covering
+// scatter meets both of its word walks.
 func FuzzPrimesDense(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(2), uint8(4))
 	f.Add(uint64(42), uint8(8), uint8(1), uint8(6))
@@ -465,5 +533,6 @@ func FuzzPrimesDense(f *testing.F) {
 		requireSameCover(t, s, got, want, "fuzz primes")
 		requireSameCover(t, s, auto, want, "fuzz auto primes")
 		requireSameCovering(t, fc, dc, got, "fuzz covering")
+		requireWideAgrees(t, fc, dc, "fuzz widened")
 	})
 }

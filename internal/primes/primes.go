@@ -89,8 +89,11 @@ func dedupSig(s *cube.Space, f *cube.Cover, sigs []uint64, old int, w *workMeter
 const workPollEvery = 4096
 
 // workMeter counts the consensus closure's work — one unit per pair
-// tried, one per containment probe — against an optional cap, and
-// polls the caller's tracker every workPollEvery units.  The count is
+// tried, one per containment probe, one per cube pair the dedup may
+// probe — against an optional cap, and polls the caller's tracker on
+// the first charge after every workPollEvery units.  closeCubes
+// charges per pair and closeOneWord per outer cube's row of pairs, so
+// the one-word closure polls at row boundaries.  The count is
 // deterministic; only the poll looks at the clock.  A nil meter never
 // stops.
 type workMeter struct {
@@ -165,7 +168,7 @@ func Generate(f, d *cube.Cover) *cube.Cover {
 }
 
 // GenerateBudget is Generate under a budget: the closure polls the
-// tracker every few thousand units of work (pairs tried plus
+// tracker after every few thousand units of work (pairs tried plus
 // containment probes, see workMeter) and stops early when the budget
 // runs out.  The returned cover is then still a valid implicant set
 // containing F ∪ D — every ON-minterm remains coverable, so a covering
@@ -183,6 +186,29 @@ func GenerateBudget(f, d *cube.Cover, tr *budget.Tracker) (out *cube.Cover, comp
 // whether it trips is a deterministic function of the input.  A
 // tracker interruption returns the partial cover as GenerateBudget
 // does.
+func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *cube.Cover, complete, capped bool) {
+	w := &workMeter{tr: tr, cap: cap}
+	out, complete = consensus(f, d, w)
+	if w.capped {
+		return nil, false, true
+	}
+	return out, complete, false
+}
+
+// consensus runs the closure under w: on one word per cube when the
+// space's cubes fit one (closeOneWord), on the cube slice otherwise
+// (closeCubes).  Both try the same pairs in the same order, admit the
+// same cubes and charge the same units; only when w stops them may
+// they stop at different points.  A tripped cap returns nil.
+func consensus(f, d *cube.Cover, w *workMeter) (*cube.Cover, bool) {
+	if s := f.S; 2*s.Inputs()+s.Outputs() <= 64 {
+		return closeOneWord(f, d, w)
+	}
+	return closeCubes(f, d, w)
+}
+
+// closeCubes is the consensus closure on the cube slice, for spaces
+// wider than one word.
 //
 // The closure is semi-naive: a sweep tries only the pairs i < j with
 // j ≥ fresh, the index of the first cube the previous sweep admitted
@@ -191,12 +217,14 @@ func GenerateBudget(f, d *cube.Cover, tr *budget.Tracker) (out *cube.Cover, comp
 // cube; dedupSig drops a cube only when a surviving cube contains it,
 // so that candidate is still covered.  Each pair yields at most one
 // candidate, written into one reused buffer and copied only when
-// admitted.  Admitted cubes are appended to the work set, after the
-// sweep's n old cubes, so one containment scan covers both; the work
-// set after each sweep is the one the all-pairs closure builds.
-func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *cube.Cover, complete, capped bool) {
+// admitted.  A candidate that lies inside a member of its pair (a
+// distance-0 pair whose output parts are nested) is rejected without a
+// containment scan, which would find that member or an earlier cube.
+// Admitted cubes are appended to the work set, after the sweep's n old
+// cubes, so one containment scan covers both; the work set after each
+// sweep is the one the all-pairs closure builds.
+func closeCubes(f, d *cube.Cover, w *workMeter) (*cube.Cover, bool) {
 	s := f.S
-	w := &workMeter{tr: tr, cap: cap}
 	work := cube.NewCover(s)
 	for _, c := range f.Cubes {
 		work.Add(s.Copy(c))
@@ -210,18 +238,19 @@ func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *c
 	cand := s.NewCube()
 	for {
 		if w.capped {
-			return nil, false, true
+			return nil, false
 		}
-		if w.interrupt || tr.Interrupted() {
-			work.Sort()
-			return work, false, false
+		if w.interrupt || w.tr.Interrupted() {
+			break
 		}
 		n := len(work.Cubes)
 	sweep:
 		for i := 0; i < n; i++ {
+			a := work.Cubes[i]
 			for j := max(i+1, fresh); j < n; j++ {
 				units := uint64(1)
-				if s.ConsensusInto(cand, work.Cubes[i], work.Cubes[j]) && !s.IsEmpty(cand) {
+				b := work.Cubes[j]
+				if s.ConsensusInto(cand, a, b) && !s.IsEmpty(cand) && !s.Contains(a, cand) && !s.Contains(b, cand) {
 					csig := sigOf(cand)
 					contained, probes := containedIn(s, cand, csig, work.Cubes, sigs)
 					units += probes
@@ -236,20 +265,20 @@ func generateConsensus(f, d *cube.Cover, tr *budget.Tracker, cap uint64) (out *c
 			}
 		}
 		if w.capped {
-			return nil, false, true
+			return nil, false
 		}
 		if len(work.Cubes) == n {
 			if w.interrupt {
 				break // the sweep was cut short: closure not proven
 			}
 			work.Sort()
-			return work, true, false
+			return work, true
 		}
 		// Drop cubes swallowed by the new ones.
 		work, sigs, fresh = dedupSig(s, work, sigs, n, w)
 	}
 	work.Sort()
-	return work, false, false
+	return work, false
 }
 
 // RowID identifies one covering row: input minterm m of output o.

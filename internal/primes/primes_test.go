@@ -348,13 +348,17 @@ func TestEmptyFunction(t *testing.T) {
 
 // TestConsensusWorkSemiNaive pins the semi-naive closure's saving on
 // the deterministic work meter.  The hardest pla-wide function,
-// RandomPLA(15839, 16, 2, 100, 0.35, 0), closes in about 7.1 M units
-// (pairs tried plus containment probes); retrying every pair in every
-// sweep, with two candidates per pair, charged 18 200 868.
+// RandomPLA(15839, 16, 2, 100, 0.35, 0), closes in 5 160 194 units
+// (pairs tried plus containment probes).  Scanning the candidates that
+// lie inside a member of their pair charged 7 141 305, and retrying
+// every pair in every sweep, with two candidates per pair, 18 200 868.
 func TestConsensusWorkSemiNaive(t *testing.T) {
 	p := benchmarks.RandomPLA(15839, 16, 2, 100, 0.35, 0)
 	out, complete, capped := generateConsensus(p.F, p.DontCares(), nil, 10_000_000)
 	if capped || !complete || out == nil {
 		t.Fatalf("closure under a 10 000 000-unit cap: complete=%v capped=%v", complete, capped)
+	}
+	if _, _, units := consensusWork(p.F, p.DontCares()); units != 5_160_194 {
+		t.Fatalf("closure charged %d units, want 5 160 194", units)
 	}
 }
