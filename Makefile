@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadProblem$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePLA$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzReadORLibProblem$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzORLibReader$$' -fuzztime $(FUZZTIME) ./internal/scpio
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveParsedProblem$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeParsedPLA$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureSubset$$' -fuzztime $(FUZZTIME) ./internal/matrix
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeSplitMatchesFull$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceMatchesNaive$$' -fuzztime $(FUZZTIME) ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedMatchesDirect$$' -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonFingerprint$$' -fuzztime $(FUZZTIME) ./internal/canon
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPrimesDense$$' -fuzztime $(FUZZTIME) ./internal/primes

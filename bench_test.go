@@ -11,6 +11,7 @@
 package ucp
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -751,9 +752,11 @@ func mustSet(m *zdd.Manager, elems []int) zdd.Node {
 // direct is the unsharded scg.Solve baseline; inram runs the sharded
 // driver with a budget holding every component resident (its pure
 // streaming/partitioning overhead); spill forces most components
-// through the spill file.  All three answers are bit-identical by the
+// through the spill file; orlib streams the same instance from its
+// OR-Library text, written once outside the timer, at spill's budget,
+// so the lexer runs too.  All four answers are bit-identical by the
 // driver's contract, checked every iteration; spilled/op reports how
-// many components the spill variant pushed to disk.
+// many components a sharded variant pushed to disk.
 func BenchmarkShardedSolve(b *testing.B) {
 	spec := benchmarks.ComponentSpec{
 		Seed: 11, Components: 60, RowsPerComp: 200, ColsPerComp: 40, RowDegree: 4, MaxCost: 5,
@@ -776,14 +779,17 @@ func BenchmarkShardedSolve(b *testing.B) {
 			}
 		}
 	})
-	run := func(name string, memBudget int64) {
+	run := func(name string, memBudget int64, solve func(SCGOptions) (*SCGResult, error)) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			sopt := opt
 			sopt.MemBudget = memBudget
 			spilled := 0
 			for i := 0; i < b.N; i++ {
-				res := SolveSCG(p, sopt)
+				res, err := solve(sopt)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if res.Cost != want.Cost {
 					b.Fatalf("sharded solve changed the answer: %d != %d", res.Cost, want.Cost)
 				}
@@ -795,6 +801,14 @@ func BenchmarkShardedSolve(b *testing.B) {
 			b.ReportMetric(float64(spilled), "spilled/op")
 		})
 	}
-	run("inram", 1<<30)
-	run("spill", 256<<10)
+	fromProblem := func(o SCGOptions) (*SCGResult, error) { return SolveSCG(p, o), nil }
+	run("inram", 1<<30, fromProblem)
+	run("spill", 256<<10, fromProblem)
+	var text bytes.Buffer
+	if err := WriteORLibProblem(&text, p); err != nil {
+		b.Fatal(err)
+	}
+	run("orlib", 256<<10, func(o SCGOptions) (*SCGResult, error) {
+		return SolveSCGORLib(bytes.NewReader(text.Bytes()), o)
+	})
 }

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -161,20 +162,110 @@ func intsKey(ids []int) string {
 	return string(b)
 }
 
+// sortsToCompact reports whether CompactSparse takes its sort path on
+// p: its nonzeros span more than 64 × nnz columns.
+func sortsToCompact(p *Problem) bool {
+	lo, hi := p.NCol, -1
+	for _, r := range p.Rows {
+		for _, j := range r {
+			lo, hi = min(lo, j), max(hi, j)
+		}
+	}
+	return hi-lo+1 > 64*p.NNZ()
+}
+
 // TestCompactSparseMatchesCompact: the sparse compaction must be
 // bit-identical to Compact — the partition-first pipeline and the
-// sharded driver both rely on it.
+// sharded driver both rely on it — on both of its paths: the bitmap
+// over a span of at most 64 × nnz columns, and the sort beyond it.
+// Parts of a wide universe, rows left empty and a rowless problem are
+// among the inputs.
 func TestCompactSparseMatchesCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	const wide = 1 << 16
+	wideCost := make([]int, wide)
+	for j := range wideCost {
+		wideCost[j] = 1 + rng.Intn(9)
+	}
+	probs := []*Problem{
+		MustNew(nil, 5, nil),
+		MustNew([][]int{{}, {}}, 5, nil),
+		MustNew([][]int{{0, wide - 1}}, wide, wideCost),
+		MustNew([][]int{{3}, {}, {70, 200}, {3, 4000}}, wide, wideCost),
+	}
 	for trial := 0; trial < 50; trial++ {
-		p := randomProblem(rng, 8, 20)
+		probs = append(probs, randomProblem(rng, 8, 20))
+	}
+	for trial := 0; trial < 100; trial++ {
+		// A few rows, some empty, clustered at a random base within 64
+		// columns or spread over the whole universe.
+		spread := 64
+		if trial%2 == 1 {
+			spread = wide
+		}
+		base := rng.Intn(wide - spread + 1)
+		rows := make([][]int, 1+rng.Intn(6))
+		for i := range rows {
+			for k := rng.Intn(4); k > 0; k-- {
+				rows[i] = append(rows[i], base+rng.Intn(spread))
+			}
+		}
+		probs = append(probs, MustNew(rows, wide, wideCost))
+	}
+	var paths [2]int
+	for trial, p := range probs {
 		q1, ids1 := p.Compact()
 		q2, ids2 := p.CompactSparse()
 		if !reflect.DeepEqual(ids1, ids2) {
-			t.Fatalf("trial %d: active cols %v != %v", trial, ids1, ids2)
+			t.Fatalf("trial %d: active cols %v != %v", trial, ids2, ids1)
 		}
 		if !reflect.DeepEqual(q1.Rows, q2.Rows) || q1.NCol != q2.NCol || !reflect.DeepEqual(q1.Cost, q2.Cost) {
-			t.Fatalf("trial %d: compact problems differ", trial)
+			t.Fatalf("trial %d: compact problems differ: %+v != %+v", trial, q2, q1)
+		}
+		if sortsToCompact(p) {
+			paths[1]++
+		} else {
+			paths[0]++
+		}
+	}
+	if paths[0] == 0 || paths[1] == 0 {
+		t.Fatalf("%d inputs took the bitmap and %d the sort; want both", paths[0], paths[1])
+	}
+}
+
+// TestCompactSparseScratchIgnoresNCol: compacting a few nonzeros of a
+// 2²⁴-column universe allocates under 64 KiB on either path, where
+// Compact's universe-wide table alone takes 64 MiB.
+func TestCompactSparseScratchIgnoresNCol(t *testing.T) {
+	const ncol = 1 << 24
+	cost := make([]int, ncol)
+	cost[0], cost[ncol-1], cost[ncol/2] = 3, 5, 7
+	for _, tc := range []struct {
+		rows [][]int
+		ids  []int
+	}{
+		{[][]int{{0, ncol - 1}, {}, {ncol - 1}}, []int{0, ncol - 1}},
+		{[][]int{{ncol / 2, ncol/2 + 9}, {ncol/2 + 1}}, []int{ncol / 2, ncol/2 + 1, ncol/2 + 9}},
+	} {
+		p := &Problem{Rows: tc.rows, NCol: ncol, Cost: cost}
+		q, ids := p.CompactSparse()
+		if !reflect.DeepEqual(ids, tc.ids) || q.NCol != len(tc.ids) {
+			t.Fatalf("%v: active columns %v, want %v", tc.rows, ids, tc.ids)
+		}
+		for k, j := range ids {
+			if q.Cost[k] != cost[j] {
+				t.Fatalf("%v: compact cost %v", tc.rows, q.Cost)
+			}
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			p.CompactSparse()
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 64<<10 {
+			t.Fatalf("%v: CompactSparse allocates %d bytes per call", tc.rows, perCall)
 		}
 	}
 }

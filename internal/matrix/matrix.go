@@ -8,6 +8,8 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -914,37 +916,77 @@ func (p *Problem) Compact() (*Problem, []int) {
 // compacting thousands of such components through Compact would cost
 // O(components × NCol), which this variant avoids.  The result is
 // bit-identical to Compact's.
+//
+// The nonzeros lie in a span of columns [lo, hi].  When it is at most
+// 64 × nnz columns wide, an occupancy bitmap over the span, with the
+// count of set bits before each word beside the word, lists the active
+// columns in order and gives each nonzero its compact id by rank: O(nnz)
+// time and at most 16 × nnz bytes of scratch.  A wider span copies and
+// sorts the nonzeros and finds each id by binary search, O(nnz log nnz),
+// reusing the copy for the compacted rows.  Neither path allocates
+// anything proportional to NCol, and each makes at most six objects.
 func (p *Problem) CompactSparse() (*Problem, []int) {
 	nnz := p.NNZ()
-	all := make([]int, 0, nnz)
+	lo, hi := math.MaxInt, math.MinInt
 	for _, r := range p.Rows {
-		all = append(all, r...)
-	}
-	sort.Ints(all)
-	active := all[:0]
-	for k, j := range all {
-		if k > 0 && all[k-1] == j {
-			continue
+		for _, j := range r {
+			lo, hi = min(lo, j), max(hi, j)
 		}
-		active = append(active, j)
 	}
-	active = append([]int(nil), active...) // free the nnz-sized backing
-	newID := make(map[int]int32, len(active))
-	for k, j := range active {
-		newID[j] = int32(k)
+	// flat receives the compact ids, row after row.
+	var active, flat []int
+	if nnz > 0 && hi-lo >= 64*nnz {
+		flat = make([]int, 0, nnz)
+		for _, r := range p.Rows {
+			flat = append(flat, r...)
+		}
+		slices.Sort(flat)
+		active = slices.Clone(slices.Compact(flat))
+		flat = flat[:0]
+		for _, r := range p.Rows {
+			for _, j := range r {
+				flat = append(flat, sort.SearchInts(active, j))
+			}
+		}
+	} else {
+		words := 0
+		if nnz > 0 {
+			words = (hi-lo)>>6 + 1
+		}
+		// occ[2w] holds the bits of columns lo+64w to lo+64w+63, and
+		// occ[2w+1] the number of active columns below them.
+		occ := make([]uint64, 2*words)
+		for _, r := range p.Rows {
+			for _, j := range r {
+				occ[(j-lo)>>6<<1] |= 1 << ((j - lo) & 63)
+			}
+		}
+		n := 0
+		for w := 0; w < words; w++ {
+			occ[2*w+1] = uint64(n)
+			n += bits.OnesCount64(occ[2*w])
+		}
+		active = make([]int, 0, n)
+		for w := 0; w < words; w++ {
+			for m := occ[2*w]; m != 0; m &= m - 1 {
+				active = append(active, lo+64*w+bits.TrailingZeros64(m))
+			}
+		}
+		flat = make([]int, 0, nnz)
+		for _, r := range p.Rows {
+			for _, j := range r {
+				w, b := (j-lo)>>6<<1, (j-lo)&63
+				flat = append(flat, int(occ[w+1])+bits.OnesCount64(occ[w]&(1<<b-1)))
+			}
+		}
 	}
 	q := &Problem{NCol: len(active), Cost: make([]int, len(active)), Rows: make([][]int, len(p.Rows))}
 	for k, j := range active {
 		q.Cost[k] = p.Cost[j]
 	}
-	flat := make([]int, nnz)
 	for i, r := range p.Rows {
-		rr := flat[:len(r):len(r)]
+		q.Rows[i] = flat[:len(r):len(r)]
 		flat = flat[len(r):]
-		for t, j := range r {
-			rr[t] = int(newID[j])
-		}
-		q.Rows[i] = rr
 	}
 	return q, active
 }

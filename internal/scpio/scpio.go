@@ -77,8 +77,10 @@ func (lx *Lexer) readErr() error {
 	return lx.err
 }
 
+// isSpace reports ' ' and '\t' '\n' '\v' '\f' '\r', which are
+// contiguous in ASCII.
 func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f'
+	return c == ' ' || c-'\t' <= '\r'-'\t'
 }
 
 // skipSpace consumes whitespace (counting newlines); it reports
@@ -177,7 +179,37 @@ func (lx *Lexer) number() (int, error) {
 // (newlines included).  At a clean end of stream it returns
 // io.ErrUnexpectedEOF — callers ask for an Int only when the format
 // requires one.
+//
+// The whitespace and an unsigned token that end inside the window are
+// read in one loop over the buffer.  Everything else — the window's
+// end, a sign, a malformed byte, a value past 2³¹ — goes to skipSpace
+// and number, which read the token again from its first byte, so the
+// tokens, errors and line numbers are those of the byte-at-a-time
+// path.
 func (lx *Lexer) Int() (int, error) {
+	buf, p := lx.buf[:lx.end], lx.pos
+	for p < len(buf) && isSpace(buf[p]) {
+		if buf[p] == '\n' {
+			lx.line++
+		}
+		p++
+	}
+	lx.pos = p
+	v := 0
+	for q := p; q < len(buf); q++ {
+		c := buf[q]
+		if c-'0' <= 9 {
+			if v = v*10 + int(c-'0'); v > 1<<31 {
+				break
+			}
+			continue
+		}
+		if q > p && isSpace(c) {
+			lx.pos = q
+			return v, nil
+		}
+		break
+	}
 	if !lx.skipSpace() {
 		return 0, lx.readErr()
 	}

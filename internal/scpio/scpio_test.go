@@ -1,10 +1,12 @@
 package scpio
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // iotaReader hands out one byte per Read call, forcing every buffer
@@ -70,6 +72,74 @@ func TestORLibReaderTinyReads(t *testing.T) {
 	if !reflect.DeepEqual(base, tiny) {
 		t.Fatalf("fragmented parse diverged: %v vs %v", base, tiny)
 	}
+}
+
+// orlibRead is everything an OR-Library stream yields: the header, the
+// rows and the text of the error that ended it ("" at a clean end).
+type orlibRead struct {
+	rows, cols int
+	cost       []int
+	data       [][]int
+	err        string
+}
+
+func readORLib(r io.Reader) orlibRead {
+	or, err := NewORLibReader(r)
+	if err != nil {
+		return orlibRead{err: err.Error()}
+	}
+	out := orlibRead{rows: or.NumRows(), cols: or.NumCols(), cost: or.Cost()}
+	var row []int
+	for {
+		if row, err = or.Next(row); err != nil {
+			if err != io.EOF {
+				out.err = err.Error()
+			}
+			return out
+		}
+		out.data = append(out.data, append([]int(nil), row...))
+	}
+}
+
+// chunkReader hands out at most n bytes per Read call.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.n)]) }
+
+// FuzzORLibReader: a text read whole, where every token inside the
+// lexer's window takes the in-window loop, reads exactly as it does
+// one byte per Read call, where every token crosses a refill, and in
+// chunks of 2 to 17 bytes, where the loop meets the window's end
+// mid-token — the same header, costs and rows, and the same error
+// text, line number included.
+func FuzzORLibReader(f *testing.F) {
+	for _, s := range []string{
+		orlibSample,
+		"1 1\n2147483648\n1 1\n", // a cost at 2³¹
+		"1 1\n2147483649\n1 1\n", // one past it
+		"1 2\n3 -4\n1 -1\n",      // signs
+		"1 2\n3 4\n2 1 -\n",      // a bare sign
+		"1 2\n3 4 # note\n1 1\n", // '#' is no comment here
+		"2 3\r\n1 2 3\r\n2 1 3\r\n1 2\r\n",
+		"1 2\n3 4\n2 1 2", // the last token ends the input
+		"1 2\n3 4\n2 1 2x\n",
+	} {
+		f.Add(s, uint8(len(s)))
+	}
+	f.Fuzz(func(t *testing.T, s string, chunk uint8) {
+		whole := readORLib(strings.NewReader(s))
+		tiny := readORLib(iotest.OneByteReader(strings.NewReader(s)))
+		if !reflect.DeepEqual(whole, tiny) {
+			t.Fatalf("read whole %s\none byte at a time %s", fmt.Sprint(whole), fmt.Sprint(tiny))
+		}
+		n := 2 + int(chunk%16)
+		if chunked := readORLib(chunkReader{strings.NewReader(s), n}); !reflect.DeepEqual(whole, chunked) {
+			t.Fatalf("read whole %s\n%d bytes at a time %s", fmt.Sprint(whole), n, fmt.Sprint(chunked))
+		}
+	})
 }
 
 func TestORLibReaderErrors(t *testing.T) {

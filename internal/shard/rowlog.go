@@ -1,8 +1,7 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
+	"errors"
 	"io"
 )
 
@@ -111,21 +110,32 @@ func (l *rowLog) finish() error {
 	return nil
 }
 
+// errConsumed reports a scan that reaches a resident segment a
+// consuming scan already released.
+var errConsumed = errors.New("shard: row-log segment read after a consuming scan")
+
 // scan replays every frame in append order.  With consume set, each
 // resident segment is released as soon as it has been fully read, so
-// the caller can grow decoded state while the log shrinks.
+// the caller can grow decoded state while the log shrinks; a later
+// scan then fails with errConsumed.  Resident segments decode in place,
+// spilled ones through one frameWindow-byte window.
 func (l *rowLog) scan(consume bool, fn func(cols []int) error) error {
 	var buf []int
+	var win []byte
 	for i := range l.segs {
 		seg := &l.segs[i]
-		var br io.ByteReader
-		if seg.mem != nil {
-			br = bytes.NewReader(seg.mem)
-		} else {
-			br = bufio.NewReaderSize(io.NewSectionReader(l.spill.file(), seg.off, seg.n), 64<<10)
+		if seg.n < 0 {
+			return errConsumed
+		}
+		fr := frameReader{p: seg.mem}
+		if seg.mem == nil {
+			if win == nil {
+				win = make([]byte, frameWindow)
+			}
+			fr = regionFrames(l.spill.file(), seg.off, seg.n, win)
 		}
 		for {
-			cols, err := readFrame(br, buf)
+			cols, err := fr.next(buf)
 			if err == io.EOF {
 				break
 			}

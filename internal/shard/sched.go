@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"runtime"
@@ -202,15 +201,15 @@ func (s *sched) writeFrames(c *comp, off int64) error {
 
 // loadComp reads a spilled component's extent back into decoded rows:
 // one arena of c.nnz columns, with each row a capped slice of it.  An
+// extent up to frameWindow bytes is fetched by one positioned read.  An
 // extent that ends short or holds other than c.nnz columns is corrupt.
 func (s *sched) loadComp(c *comp) ([][]int, error) {
-	sec := io.NewSectionReader(s.spill.file(), c.off, c.frameBytes)
-	br := bufio.NewReaderSize(sec, int(min(c.frameBytes, 64<<10)))
+	fr := regionFrames(s.spill.file(), c.off, c.frameBytes, make([]byte, min(c.frameBytes, frameWindow)))
 	arena := make([]int, c.nnz)
 	rows := make([][]int, c.rows)
 	pos := 0
 	for i := range rows {
-		cols, err := readFrame(br, arena[pos:pos])
+		cols, err := fr.next(arena[pos:pos])
 		if err == io.EOF {
 			return nil, fmt.Errorf("%w: extent ends after %d of %d rows", errCorruptFrame, i, c.rows)
 		}

@@ -3,10 +3,14 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -405,7 +409,9 @@ func TestLoadCompCorruptExtent(t *testing.T) {
 }
 
 // TestFrameRoundTrip: the binary frame encoding decodes to exactly the
-// input across random rows, including empty ones.
+// input across random rows, including empty ones, in place and from a
+// region read through windows small enough that frames and varints
+// straddle the fills.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var enc []byte
@@ -424,18 +430,158 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frameSize disagrees with appendFrame at trial %d", trial)
 		}
 	}
-	br := bytes.NewReader(enc)
-	for i, want := range rows {
-		got, err := readFrame(br, nil)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	file := append(append([]byte("pre"), enc...), "post"...)
+	for _, win := range []int{0, binary.MaxVarintLen64, 11, 64, frameWindow} {
+		fr := frameReader{p: enc}
+		if win > 0 {
+			fr = regionFrames(bytes.NewReader(file), 3, int64(len(enc)), make([]byte, min(win, len(enc))))
 		}
-		if len(want) == 0 && len(got) == 0 {
-			continue
+		for i, want := range rows {
+			got, err := fr.next(nil)
+			if err != nil {
+				t.Fatalf("window %d, frame %d: %v", win, i, err)
+			}
+			if len(want) == 0 && len(got) == 0 {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("window %d, frame %d: %v != %v", win, i, got, want)
+			}
+		}
+		if got, err := fr.next(nil); err != io.EOF {
+			t.Fatalf("window %d: after the last frame got %v, %v; want io.EOF", win, got, err)
+		}
+	}
+}
+
+// FuzzFrameDecode: arbitrary bytes never panic the frame decoder and
+// fail only as corrupt frames, in place or through a region window;
+// and a frame followed by arbitrary bytes decodes to its columns,
+// consuming exactly its own length.
+func FuzzFrameDecode(f *testing.F) {
+	f.Add([]byte{0, 1, 2}, []byte{}, uint8(0))
+	f.Add([]byte{}, []byte{3, 1, 2, 3}, uint8(1))
+	f.Add([]byte{200, 7, 255}, []byte{2, 0x80}, uint8(4))
+	f.Add([]byte{1}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint8(0))
+	f.Add([]byte{9, 9}, []byte{0x80, 0x80, 0x80, 0x80, 0x01, 5}, uint8(2))
+	f.Fuzz(func(t *testing.T, gaps, tail []byte, win uint8) {
+		// A window of 0 decodes in place; otherwise it spans 11 to 25
+		// bytes, or the whole region when that is shorter.
+		open := func(data []byte) frameReader {
+			if win%16 == 0 {
+				return frameReader{p: data}
+			}
+			w := min(binary.MaxVarintLen64+int(win%16), len(data))
+			return regionFrames(bytes.NewReader(data), 0, int64(len(data)), make([]byte, w))
+		}
+		fr := open(tail)
+		for {
+			_, err := fr.next(nil)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, errCorruptFrame) {
+					t.Fatalf("arbitrary bytes failed with %v, not a corrupt frame", err)
+				}
+				break
+			}
+		}
+
+		cols := make([]int, len(gaps))
+		c := -1
+		for k, g := range gaps {
+			c += 1 + int(g)<<(g%24)
+			cols[k] = c
+		}
+		frame := appendFrame(nil, cols)
+		fr = open(append(frame, tail...))
+		got, err := fr.next(nil)
+		if err != nil {
+			t.Fatalf("frame of %v: %v", cols, err)
+		}
+		if !slices.Equal(got, cols) {
+			t.Fatalf("decoded %v, want %v", got, cols)
+		}
+		if left := int64(len(fr.p)) + fr.end - fr.off; left != int64(len(tail)) {
+			t.Fatalf("the frame consumed %d bytes, want %d", int64(len(frame)+len(tail))-left, len(frame))
+		}
+	})
+}
+
+// TestFrameCountPastBytes: a frame whose column count exceeds the bytes
+// left is corrupt, and rejected before the decoder grows anything for
+// it: here 65 536 one-byte columns follow a count of 2⁴⁰, and decoding
+// them first would allocate half a megabyte.
+func TestFrameCountPastBytes(t *testing.T) {
+	data := binary.AppendUvarint(nil, 1<<40)
+	data = append(data, make([]byte, 1<<16)...)
+	win := make([]byte, frameWindow)
+	for _, inPlace := range []bool{true, false} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr := frameReader{p: data}
+		if !inPlace {
+			fr = regionFrames(bytes.NewReader(data), 0, int64(len(data)), win)
+		}
+		_, err := fr.next(nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errCorruptFrame) {
+			t.Fatalf("in place %v: got %v, want a corrupt frame", inPlace, err)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown >= 64<<10 {
+			t.Fatalf("in place %v: rejecting the frame allocated %d bytes", inPlace, grown)
+		}
+	}
+}
+
+// TestRowLogConsumedScan: every scan replays the whole log, resident
+// and spilled segments alike, until a consuming scan releases the
+// resident ones; a scan after that fails instead of skipping their
+// rows.
+func TestRowLogConsumedScan(t *testing.T) {
+	g := &gauge{}
+	spill := newSpillFile(t.TempDir())
+	defer spill.close()
+	l := newRowLog(spill, g, 2*minSegSize, minSegSize)
+	var want [][]int
+	for i := 0; i < 20000; i++ {
+		row := []int{i, i + 1 + i%7, i + 300}
+		want = append(want, row)
+		if err := l.append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.finish(); err != nil {
+		t.Fatal(err)
+	}
+	spilled := 0
+	for _, seg := range l.segs {
+		if seg.mem == nil {
+			spilled++
+		}
+	}
+	if spilled == 0 || spilled == len(l.segs) {
+		t.Fatalf("%d of %d segments spilled; want some of each", spilled, len(l.segs))
+	}
+	for _, consume := range []bool{false, true} {
+		var got [][]int
+		err := l.scan(consume, func(cols []int) error {
+			got = append(got, append([]int(nil), cols...))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("consume=%v: %v", consume, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d: %v != %v", i, got, want)
+			t.Fatalf("consume=%v: scan replayed %d rows, want the %d appended", consume, len(got), len(want))
 		}
+	}
+	if l.resident != 0 || g.current() != 0 {
+		t.Fatalf("after the consuming scan: %d resident, %d tracked bytes", l.resident, g.current())
+	}
+	if err := l.scan(true, func([]int) error { return nil }); !errors.Is(err, errConsumed) {
+		t.Fatalf("second consuming scan returned %v, want errConsumed", err)
 	}
 }
 

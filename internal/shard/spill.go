@@ -47,14 +47,7 @@ func (s *spillFile) writeAt(p []byte, off int64) error {
 	return nil
 }
 
-func (s *spillFile) readAt(p []byte, off int64) error {
-	if _, err := s.f.ReadAt(p, off); err != nil {
-		return fmt.Errorf("shard: spill read: %w", err)
-	}
-	return nil
-}
-
-// file exposes the backing descriptor for positioned section reads.
+// file exposes the backing descriptor for positioned reads.
 // Only valid after an alloc created it.
 func (s *spillFile) file() *os.File {
 	s.mu.Lock()
